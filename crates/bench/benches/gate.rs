@@ -32,6 +32,9 @@
 //!   `sign_speedup_vs_oracle` — the allocation-free shingler and the
 //!   blocked MinHash kernel vs the frozen naive oracles in
 //!   `crowd-testkit`, same documents, same host.
+//! * `BENCH_scan.json` `fused_throughput_scale_ratio` — fused-scan rows/s
+//!   at scale 0.2 over rows/s at scale 0.05 (≈1 when linear); falls when
+//!   the scan's cost grows faster than its rows.
 //!
 //! Baselines are parsed with plain string scanning (no JSON dependency);
 //! the files are generated by our own benches, so the format is fixed.
@@ -40,7 +43,9 @@ use std::path::{Path, PathBuf};
 
 use std::sync::Arc;
 
-use crowd_bench::shapes::{measure, run_fused, run_per_module, view_rebuild_ratio};
+use crowd_bench::shapes::{
+    fused_scale_ratio, measure, run_fused, run_per_module, view_rebuild_ratio,
+};
 use crowd_bench::{bench_sim_config, bench_study};
 use crowd_ingest::{load_events_str, WalOptions};
 use crowd_serve::{EventFeed, LiveService};
@@ -251,7 +256,7 @@ fn main() {
         eprintln!("[gate] skipped: perf ratios are only meaningful in release builds");
         return;
     }
-    let checks: [Check; 8] = [
+    let checks: [Check; 9] = [
         ("BENCH_scan.json", "speedup_to_same_outputs", measure_scan_ratio, REGRESSION_TOLERANCE),
         (
             "BENCH_snapshot.json",
@@ -293,6 +298,12 @@ fn main() {
             "sign_speedup_vs_oracle",
             measure_sign_kernel_ratio,
             KERNEL_TOLERANCE,
+        ),
+        (
+            "BENCH_scan.json",
+            "fused_throughput_scale_ratio",
+            fused_scale_ratio,
+            REGRESSION_TOLERANCE,
         ),
     ];
 

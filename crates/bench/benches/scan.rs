@@ -5,17 +5,20 @@
 //! the CI perf gate (`benches/gate.rs`) re-measures against the baseline.
 //!
 //! Besides the criterion timings, the run measures rows-scanned/sec for
-//! both shapes directly and writes them to `BENCH_scan.json` at the
-//! workspace root, next to `BENCH_parallel.json`.
+//! both shapes directly, plus the real fused pass's throughput growth from
+//! scale 0.05 to 0.2 (`fused_throughput_scale_ratio`), and writes them to
+//! `BENCH_scan.json` at the workspace root, next to `BENCH_parallel.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use crowd_bench::bench_study;
-use crowd_bench::shapes::{measure, run_fused, run_per_module, MODULES};
+use crowd_bench::shapes::{fused_rows_per_sec, measure, run_fused, run_per_module, MODULES};
 use crowd_core::dataset::Dataset;
 
 fn write_report(ds: &Dataset) {
     let (fused_s, fused_rows) = measure(5, || run_fused(ds));
     let (seq_s, seq_rows) = measure(5, || run_per_module(ds));
+    let small_rps = fused_rows_per_sec(0.05, 3);
+    let large_rps = fused_rows_per_sec(0.2, 3);
     let json = format!(
         r#"{{
   "benchmark": "crates/bench/benches/scan.rs",
@@ -26,7 +29,9 @@ fn write_report(ds: &Dataset) {
     "per_module_passes": {{ "median_ms": {seq_ms:.1}, "rows_scanned": {seq_rows}, "rows_per_sec": {seq_rps:.0} }}
   }},
   "speedup_to_same_outputs": {speedup:.2},
-  "note": "rows_per_sec is raw scan throughput; the fused pass reaches the same {modules} outputs having scanned {modules}x fewer rows. repro/export fuse all instance-level analytics into one such pass (tests/scan_fusion.rs)."
+  "fused_scale": {{ "rows_per_sec_at_0.05": {small_rps:.0}, "rows_per_sec_at_0.2": {large_rps:.0} }},
+  "fused_throughput_scale_ratio": {scale_ratio:.2},
+  "note": "rows_per_sec is raw scan throughput; the fused pass reaches the same {modules} outputs having scanned {modules}x fewer rows. repro/export fuse all instance-level analytics into one such pass (tests/scan_fusion.rs). fused_scale is the full fused pass (crowd_analytics::fused::compute) at SimConfig::new(BENCH_SEED, scale), best of 3, one process and pool; the CI perf gate re-measures the ratio."
 }}
 "#,
         n = ds.instances.len(),
@@ -37,6 +42,7 @@ fn write_report(ds: &Dataset) {
         seq_rows = seq_rows,
         seq_rps = seq_rows as f64 / seq_s,
         speedup = seq_s / fused_s,
+        scale_ratio = large_rps / small_rps,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
     match std::fs::write(path, json) {

@@ -303,3 +303,34 @@ pub fn measure(runs: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
     times.sort_by(f64::total_cmp);
     (times[times.len() / 2], out)
 }
+
+/// Rows per second of the full fused pass (`crowd_analytics::fused::compute`)
+/// over a study simulated at `SimConfig::new(BENCH_SEED, scale)`, best of
+/// `runs`, in the current rayon pool.
+pub fn fused_rows_per_sec(scale: f64, runs: usize) -> f64 {
+    let study = crowd_analytics::Study::new(crowd_sim::simulate(&crowd_sim::SimConfig::new(
+        crate::BENCH_SEED,
+        scale,
+    )));
+    let rows = study.n_instances() as f64;
+    let best = (0..runs)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(crowd_analytics::fused::compute(&study));
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    rows / best
+}
+
+/// `fused_throughput_scale_ratio`: fused rows/s at scale 0.2 over rows/s
+/// at scale 0.05, one process, one pool, best of 3 each. A scan linear in
+/// its rows scores ≈ 1; state that grows faster than the rows (a merge
+/// quadratic in the keys, per-chunk state that scales with the table)
+/// drags the large side down, which fixed-size throughput ratios cannot
+/// see.
+pub fn fused_scale_ratio() -> f64 {
+    let small = fused_rows_per_sec(0.05, 3);
+    let large = fused_rows_per_sec(0.2, 3);
+    large / small
+}

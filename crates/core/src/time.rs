@@ -218,6 +218,22 @@ const EPOCH_WEEK_START: i64 = -3 * SECS_PER_DAY;
 pub struct Timestamp(i64);
 
 impl Timestamp {
+    /// Earliest instant ingest accepts from untrusted input:
+    /// 1970-01-01 00:00:00 UTC.
+    pub const CIVIL_MIN: Timestamp = Timestamp(0);
+
+    /// Latest instant ingest accepts from untrusted input:
+    /// 9999-12-31 23:59:59 UTC.
+    pub const CIVIL_MAX: Timestamp = Timestamp(253_402_300_799);
+
+    /// True inside `[CIVIL_MIN, CIVIL_MAX]`. Ingest quarantines rows whose
+    /// timestamps fall outside, so week, day and month arithmetic over
+    /// accepted rows (and differences between them) can never overflow —
+    /// [`Timestamp::week`] panics on instants ~41 million years out.
+    pub fn is_civil(self) -> bool {
+        (Self::CIVIL_MIN..=Self::CIVIL_MAX).contains(&self)
+    }
+
     /// Creates a timestamp from seconds since the Unix epoch.
     #[inline]
     pub const fn from_secs(secs: i64) -> Self {
@@ -439,6 +455,17 @@ pub fn civil_from_days(days: i64) -> (i32, u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn civil_range_spans_1970_through_9999() {
+        assert_eq!(Timestamp::CIVIL_MIN, Timestamp::from_ymd(1970, 1, 1));
+        assert_eq!(Timestamp::CIVIL_MAX.ymd(), (9999, 12, 31));
+        assert_eq!((Timestamp::CIVIL_MAX + Duration::from_secs(1)).ymd(), (10000, 1, 1));
+        assert!(Timestamp::CIVIL_MIN.is_civil() && Timestamp::CIVIL_MAX.is_civil());
+        assert!(!Timestamp::from_secs(-1).is_civil());
+        assert!(!(Timestamp::CIVIL_MAX + Duration::from_secs(1)).is_civil());
+        assert!(!Timestamp::from_secs(9_000_000_000_000_000_000).is_civil());
+    }
 
     #[test]
     fn epoch_is_day_zero() {

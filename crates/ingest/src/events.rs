@@ -528,11 +528,12 @@ fn parse_event(
             let at: i64 = f[4]
                 .parse()
                 .map_err(|_| (FaultClass::Numeric, format!("bad pickup time `{}`", f[4])))?;
+            let at = civil(Timestamp::from_secs(at))?;
             Ok(Parsed::Event(MarketEvent::PickedUp {
                 seq,
                 batch,
                 worker: WorkerId::new(worker_raw as u32),
-                at: Timestamp::from_secs(at),
+                at,
             }))
         }
         "C" => {
@@ -563,6 +564,8 @@ fn validate_completed(row: &TaskInstance, entities: &Dataset) -> Result<(), (Fau
     if row.worker.index() >= entities.workers.len() {
         return Err((FaultClass::Dangling, format!("worker {} out of range", row.worker)));
     }
+    civil(row.start)?;
+    civil(row.end)?;
     if row.end < row.start {
         return Err((FaultClass::Semantic, "instance ends before it starts".into()));
     }
@@ -570,6 +573,16 @@ fn validate_completed(row: &TaskInstance, entities: &Dataset) -> Result<(), (Fau
         return Err((FaultClass::Semantic, format!("trust {} outside [0, 1]", row.trust)));
     }
     Ok(())
+}
+
+/// `t` when it lies in the civil range ingest accepts
+/// ([`Timestamp::is_civil`]); a `Semantic` fault otherwise.
+fn civil(t: Timestamp) -> Result<Timestamp, (FaultClass, String)> {
+    if t.is_civil() {
+        Ok(t)
+    } else {
+        Err((FaultClass::Semantic, crate::loader::outside_civil_range(t)))
+    }
 }
 
 fn line_of(e: &CoreError) -> usize {
@@ -708,9 +721,13 @@ mod tests {
         text.push_str("C,14,0,0,0,1000,2000,1.5,S\n"); // trust out of range -> Semantic
         text.push('\n'); // blank -> Malformed
 
+        // Past 9999-12-31 -> Semantic (week arithmetic would overflow).
+        text.push_str("C,15,0,0,0,9000000000000000000,9000000000000000000,0.5,S\n");
+        text.push_str("U,16,0,0,-5\n"); // before 1970 -> Semantic
+
         let log = load_events_str(&text, &ds).expect("within budget");
         assert_eq!(log.report.accepted, 3);
-        assert_eq!(log.report.quarantined, 7);
+        assert_eq!(log.report.quarantined, 9);
         assert_eq!(log.report.verified, None);
         let classes: Vec<FaultClass> = log.quarantine.iter().map(|q| q.fault).collect();
         assert_eq!(
@@ -723,6 +740,8 @@ mod tests {
                 FaultClass::Semantic,
                 FaultClass::Semantic,
                 FaultClass::Malformed,
+                FaultClass::Semantic,
+                FaultClass::Semantic,
             ]
         );
 

@@ -24,6 +24,7 @@ use crowd_core::error::{CoreError, FaultClass};
 use crowd_core::provenance::{
     ErrorBudget, IngestReport, QuarantinedRow, TableReport, QUARANTINE_DETAIL_CAP,
 };
+use crowd_core::time::Timestamp;
 use rayon::prelude::*;
 
 use crate::retry::{read_all_with_retry, Backoff, Clock, SystemClock};
@@ -373,6 +374,9 @@ fn load_entities(
                         counts.task_types
                     ),
                 )),
+                Ok(batch) if !batch.created_at.is_civil() => {
+                    Some((FaultClass::Semantic, outside_civil_range(batch.created_at)))
+                }
                 Ok(batch) if batch.sampled && batch.html.is_none() => {
                     Some((FaultClass::Semantic, "sampled batch without task HTML".into()))
                 }
@@ -433,6 +437,9 @@ fn validate_instance(i: &TaskInstance, counts: &EntityCounts) -> Option<(FaultCl
             format!("worker {} out of range ({} loaded)", i.worker.raw(), counts.workers),
         ));
     }
+    if let Some(t) = [i.start, i.end].into_iter().find(|t| !t.is_civil()) {
+        return Some((FaultClass::Semantic, outside_civil_range(t)));
+    }
     if i.end.as_secs() < i.start.as_secs() {
         return Some((FaultClass::Semantic, "ends before it starts".into()));
     }
@@ -440,6 +447,11 @@ fn validate_instance(i: &TaskInstance, counts: &EntityCounts) -> Option<(FaultCl
         return Some((FaultClass::Semantic, format!("trust {} outside [0, 1]", i.trust)));
     }
     None
+}
+
+/// The quarantine message for a timestamp outside [`Timestamp::is_civil`].
+pub(crate) fn outside_civil_range(t: Timestamp) -> String {
+    format!("timestamp {} outside 1970-01-01..=9999-12-31", t.as_secs())
 }
 
 fn answer_key(a: &Answer) -> (u8, u16, &str) {
@@ -688,6 +700,27 @@ mod tests {
             .collect();
         assert_eq!(faults, vec![FaultClass::Arity, FaultClass::Numeric, FaultClass::Dangling]);
         assert!(out.report.coverage() < 1.0);
+    }
+
+    #[test]
+    fn timestamps_outside_the_civil_range_are_semantic() {
+        let ds = sample();
+        let mut src = MemSource::from_dataset(&ds);
+        let mut batches = src.text(Table::Batches);
+        batches.push_str("0,253402300800,0,\n"); // 10000-01-01, one second past the range
+        src.set(Table::Batches, &batches);
+        let mut instances = src.text(Table::Instances);
+        instances.push_str("0,0,0,9000000000000000000,9000000000000000000,0.5,S\n");
+        instances.push_str("0,0,0,-60,0,0.5,S\n"); // before 1970
+        src.set(Table::Instances, &instances);
+        let out = ingest(&src, &test_opts()).unwrap();
+        for (table, n) in [("batches", 1), ("instances", 2)] {
+            let tr = out.report.table(table).unwrap();
+            assert_eq!(tr.quarantined, n, "{table}");
+            assert_eq!(tr.verified, Some(true), "{table}: quarantined rows never enter the digest");
+        }
+        assert!(out.report.quarantine.iter().all(|q| q.fault == FaultClass::Semantic));
+        assert_same_dataset(&out.dataset, &ds);
     }
 
     #[test]

@@ -714,6 +714,46 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_timestamp_is_quarantined_before_the_wal() {
+        let dir = temp_dir("wal-hostile");
+        let feed = EventFeed::from_config(&SimConfig::tiny(64));
+        let mut svc = LiveService::new(Arc::clone(&feed.entities))
+            .with_wal(dir.join("wal"), 64, WalOptions::default())
+            .unwrap();
+        // A well-formed, trailer-less stream whose last record starts and
+        // ends ~2.9e11 years from now: week arithmetic on it would panic.
+        let csv = feed.to_csv();
+        let (body, _trailer) = csv.trim_end().rsplit_once('\n').unwrap();
+        let wire =
+            format!("{body}\nC,999999,0,0,0,9000000000000000000,9000000000000000000,0.5,S\n");
+        let summary = svc
+            .ingest_stream(&mut wire.as_bytes(), &EventOptions::default(), 1000)
+            .expect("the record is quarantined, not applied");
+        assert_eq!(summary.report.quarantined, 1);
+        assert_eq!(summary.report.verified, None);
+        assert_eq!(svc.gauges().completed as usize, feed.n_completed());
+
+        let logged = wal_replay(&dir.join("wal"), 64, 0, &feed.entities).unwrap();
+        assert!(logged.fault.is_none());
+        assert_eq!(logged.events.len() as u64, svc.events_applied(), "only accepted events logged");
+        assert!(logged.events.iter().all(|e| e.at(&feed.entities).is_civil()));
+
+        let live = svc.handle().snapshot();
+        drop(svc);
+        let (restored, report) = LiveService::restore_durable(
+            CheckpointStore::new(dir.join("ckpt"), 64),
+            500,
+            Arc::clone(&feed.entities),
+            dir.join("wal"),
+            WalOptions::default(),
+        )
+        .expect("a restart recovers");
+        assert_eq!(report.wal_events_replayed, live.events_applied);
+        assert_eq!(restored.handle().snapshot().view.fused, live.view.fused);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_wal_refuses_recovery_with_a_typed_fault() {
         let dir = temp_dir("wal-flip");
         let feed = EventFeed::from_config(&SimConfig::tiny(63));

@@ -120,6 +120,80 @@ pub fn edge_case_datasets() -> Vec<(&'static str, Dataset)> {
     out
 }
 
+/// `ds` with its instance rows rearranged into `order` (row `i` of the
+/// result is row `order[i]` of `ds`); entity tables unchanged.
+fn permuted(ds: &Dataset, order: &[usize]) -> Dataset {
+    let mut out = ds.clone();
+    out.instances = InstanceColumns::new();
+    out.instances.reserve(order.len());
+    for &i in order {
+        out.instances.push(ds.instances.row(i).to_owned());
+    }
+    out
+}
+
+/// Row orders the simulator never produces, each at least three
+/// [`CHUNK`]s long. Simulated rows arrive batch by batch, so every
+/// worker's days, months and weeks — and every `(batch, item)` key —
+/// mostly ascend across chunks; these cases break that on purpose.
+///
+/// * `sim-reversed` — a simulated study with its rows reversed;
+/// * `sim-shuffled` — the same study under a seeded shuffle;
+/// * `descending-worker` — one worker whose days, months and weeks
+///   descend across (and within) chunks, with batch keys descending across
+///   chunks and one `(batch, item)` straddling a chunk boundary.
+pub fn out_of_order_datasets() -> Vec<(&'static str, Dataset)> {
+    let sim = crowd_sim::simulate(&crowd_sim::SimConfig::tiny(5));
+    let n = sim.instances.len();
+    assert!(n >= 3 * CHUNK, "the simulated study must span at least three chunks");
+
+    let reversed: Vec<usize> = (0..n).rev().collect();
+    let mut shuffled: Vec<usize> = (0..n).collect();
+    let mut rng = TestRng::new(0x5EED_0F0F, 0);
+    for i in (1..n).rev() {
+        shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+
+    vec![
+        ("sim-reversed", permuted(&sim, &reversed)),
+        ("sim-shuffled", permuted(&sim, &shuffled)),
+        ("descending-worker", descending_worker()),
+    ]
+}
+
+/// Three full chunks plus a tail. Chunk `k` draws from batch `2 − k`
+/// (created 35·(2 − k) days after the origin), so the focus worker's
+/// days, months and weeks, and the `(batch, item)` keys, all descend
+/// from chunk to chunk; inside each chunk the focus worker's pickups
+/// descend too. The last two rows of chunk 1 and the first two of chunk
+/// 2 share `(batch 1, item 0)`.
+fn descending_worker() -> Dataset {
+    let mut f = Fixture::new();
+    let focus = f.add_worker();
+    let others = f.add_workers(3);
+    let batches: Vec<BatchId> = (0..3).map(|k| f.add_batch(Duration::from_days(35 * k))).collect();
+    let trust = |i: usize| if i.is_multiple_of(3) { 1.0e-4 } else { 0.875 };
+    for chunk in 0..4usize {
+        let batch = batches[2 - chunk.min(2)];
+        let rows = if chunk == 3 { 77 } else { CHUNK };
+        for r in 0..rows {
+            let global = chunk * CHUNK + r;
+            let straddle = (chunk == 1 && r >= CHUNK - 2) || (chunk == 2 && r < 2);
+            let (batch, item) =
+                if straddle { (batches[1], 0) } else { (batch, (r % 97) as u32 + 1) };
+            let (worker, pickup) = if r % 4 == 0 {
+                // The focus worker: later rows start earlier.
+                (focus, (rows - r) as i64 * 97)
+            } else {
+                (others[r % 3], r as i64 * 13)
+            };
+            let work = 5 + (global % 311) as i64;
+            f.instance_full(batch, item, worker, pickup, work, trust(global), Answer::Choice(0));
+        }
+    }
+    f.finish()
+}
+
 /// A seeded random-dataset strategy for the vendored `proptest` engine.
 ///
 /// The knobs skew generation toward degenerate shapes: duplicate
@@ -246,6 +320,14 @@ mod tests {
         assert_eq!(names.len(), cases.len(), "names are unique");
         for (name, ds) in &cases {
             ds.validate().unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        }
+    }
+
+    #[test]
+    fn out_of_order_cases_are_valid_and_span_three_chunks() {
+        for (name, ds) in out_of_order_datasets() {
+            ds.validate().unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            assert!(ds.instances.len() > 3 * CHUNK, "{name} spans at least three chunks");
         }
     }
 

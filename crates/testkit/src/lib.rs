@@ -8,10 +8,9 @@
 //!   computes, written directly against [`crowd_core::InstanceRef`] rows
 //!   with none of the engine's chunking, fusion, or parallelism;
 //! * [`differential`] — a harness comparing the fused engine's output
-//!   against the oracle field-by-field (exact equality for counts, order
-//!   statistics, and integer-valued sums; ULP-bounded equality for float
-//!   accumulations whose rounding legitimately depends on merge order),
-//!   at 1 and 4 worker threads;
+//!   against the oracle field-by-field, every float to the bit (the
+//!   oracle copies the engine's chunk-order float discipline), at 1 and
+//!   4 worker threads;
 //! * [`generators`] — seeded adversarial [`proptest::Strategy`]s and
 //!   deterministic edge-case datasets (empty tables, single instances,
 //!   duplicate timestamps, median ties, chunk-boundary sizes) that explore

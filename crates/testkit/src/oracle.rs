@@ -2,10 +2,17 @@
 //!
 //! Each function here re-derives one family of aggregates with a plain
 //! single-threaded loop over [`Dataset::instances`] in row order — no
-//! [`crowd_core::ScanPass`] chunking, no fusion, no merge step, no shared
-//! state. The code is deliberately naive: its only job is to be obviously
-//! correct so the differential harness ([`crate::differential`]) can hold
-//! the optimized engine to it.
+//! fusion, no parallelism, no shared state. The code is deliberately
+//! naive: its only job is to be obviously correct so the differential
+//! harness ([`crate::differential`]) can hold the optimized engine to it.
+//!
+//! The one piece of engine structure the oracles do copy is the
+//! [`ScanPass::CHUNK`] float discipline, and only where it decides bits:
+//! the fractional sums — worker `trust_sum`, week `hours`, source
+//! `trust_sum` and `rel_time_sum` — fold from 0.0 in row order within
+//! each fixed 8192-row chunk, and the chunk partials are added in chunk
+//! order (`chunk_ranges`). That is the scan engine's documented
+//! contract, so the engine must match these oracles bit for bit.
 //!
 //! Family → engine map (all in [`crowd_analytics::fused`] unless noted):
 //!
@@ -102,39 +109,73 @@ pub fn daily_load(ds: &Dataset) -> BTreeMap<i64, u64> {
     out
 }
 
+/// The row ranges of the scan engine's fixed chunks: `[k·CHUNK,
+/// (k+1)·CHUNK)` clipped to the table, in ascending order.
+fn chunk_ranges(ds: &Dataset) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let n = ds.instances.len();
+    (0..n).step_by(ScanPass::CHUNK).map(move |lo| lo..(lo + ScanPass::CHUNK).min(n))
+}
+
+fn empty_worker() -> WorkerAgg {
+    WorkerAgg {
+        tasks: 0,
+        work_secs: 0.0,
+        trust_sum: 0.0,
+        first_day: i64::MAX,
+        last_day: i64::MIN,
+        days: BTreeSet::new(),
+        months: BTreeSet::new(),
+        intervals: Vec::new(),
+        weeks: BTreeMap::new(),
+    }
+}
+
 /// Per-worker aggregates: task counts and work time (workload, Fig 27),
 /// trust sums (source quality), first/last day and distinct active
 /// days/months (lifetimes and cohorts, Figs 29–30), instance intervals
 /// (sessions), and per-week task/hour cells (availability, Fig 26).
+///
+/// Each chunk folds into its own partial map; partials add into the
+/// total in chunk order (see the module docs).
 pub fn worker_aggregates(ds: &Dataset) -> BTreeMap<u32, WorkerAgg> {
     let (w0, n_weeks) = week_span(ds);
     let mut out: BTreeMap<u32, WorkerAgg> = BTreeMap::new();
-    for row in ds.instances.iter() {
-        let day = row.start.day_number();
-        let w = out.entry(row.worker.raw()).or_insert_with(|| WorkerAgg {
-            tasks: 0,
-            work_secs: 0.0,
-            trust_sum: 0.0,
-            first_day: i64::MAX,
-            last_day: i64::MIN,
-            days: BTreeSet::new(),
-            months: BTreeSet::new(),
-            intervals: Vec::new(),
-            weeks: BTreeMap::new(),
-        });
-        w.tasks += 1;
-        w.work_secs += row.work_time().as_secs() as f64;
-        w.trust_sum += f64::from(row.trust);
-        w.first_day = w.first_day.min(day);
-        w.last_day = w.last_day.max(day);
-        w.days.insert(day);
-        w.months.insert(month_index(row.start));
-        w.intervals.push((row.start, row.end));
-        if n_weeks > 0 {
-            let cell: &mut WeekCell =
-                w.weeks.entry(clamped_week(w0, n_weeks, row.start)).or_default();
-            cell.tasks += 1;
-            cell.hours += row.work_time().as_hours_f64();
+    for chunk in chunk_ranges(ds) {
+        let mut part: BTreeMap<u32, WorkerAgg> = BTreeMap::new();
+        for i in chunk {
+            let row = ds.instances.row(i);
+            let day = row.start.day_number();
+            let w = part.entry(row.worker.raw()).or_insert_with(empty_worker);
+            w.tasks += 1;
+            w.work_secs += row.work_time().as_secs() as f64;
+            w.trust_sum += f64::from(row.trust);
+            w.first_day = w.first_day.min(day);
+            w.last_day = w.last_day.max(day);
+            w.days.insert(day);
+            w.months.insert(month_index(row.start));
+            w.intervals.push((row.start, row.end));
+            if n_weeks > 0 {
+                let cell: &mut WeekCell =
+                    w.weeks.entry(clamped_week(w0, n_weeks, row.start)).or_default();
+                cell.tasks += 1;
+                cell.hours += row.work_time().as_hours_f64();
+            }
+        }
+        for (id, p) in part {
+            let w = out.entry(id).or_insert_with(empty_worker);
+            w.tasks += p.tasks;
+            w.work_secs += p.work_secs;
+            w.trust_sum += p.trust_sum;
+            w.first_day = w.first_day.min(p.first_day);
+            w.last_day = w.last_day.max(p.last_day);
+            w.days.extend(p.days);
+            w.months.extend(p.months);
+            w.intervals.extend(p.intervals);
+            for (wk, c) in p.weeks {
+                let cell = w.weeks.entry(wk).or_default();
+                cell.tasks += c.tasks;
+                cell.hours += c.hours;
+            }
         }
     }
     out
@@ -142,18 +183,30 @@ pub fn worker_aggregates(ds: &Dataset) -> BTreeMap<u32, WorkerAgg> {
 
 /// Per-source aggregates: task counts, trust sums, and relative-speed
 /// sums (work time divided by the batch's median task time, Table 4).
-/// `batch_median` is the [`batch_task_time_medians`] vector.
+/// `batch_median` is the [`batch_task_time_medians`] vector. Chunked like
+/// [`worker_aggregates`].
 pub fn source_aggregates(ds: &Dataset, batch_median: &[Option<f64>]) -> BTreeMap<u32, SourceAgg> {
     let mut out: BTreeMap<u32, SourceAgg> = BTreeMap::new();
-    for row in ds.instances.iter() {
-        let s = out.entry(ds.worker(row.worker).source.raw()).or_default();
-        s.n_tasks += 1;
-        s.trust_sum += f64::from(row.trust);
-        if let Some(med) = batch_median[row.batch.index()] {
-            if med > 0.0 {
-                s.rel_time_sum += row.work_time().as_secs() as f64 / med;
-                s.rel_time_n += 1;
+    for chunk in chunk_ranges(ds) {
+        let mut part: BTreeMap<u32, SourceAgg> = BTreeMap::new();
+        for i in chunk {
+            let row = ds.instances.row(i);
+            let s = part.entry(ds.worker(row.worker).source.raw()).or_default();
+            s.n_tasks += 1;
+            s.trust_sum += f64::from(row.trust);
+            if let Some(med) = batch_median[row.batch.index()] {
+                if med > 0.0 {
+                    s.rel_time_sum += row.work_time().as_secs() as f64 / med;
+                    s.rel_time_n += 1;
+                }
             }
+        }
+        for (id, p) in part {
+            let s = out.entry(id).or_default();
+            s.n_tasks += p.n_tasks;
+            s.trust_sum += p.trust_sum;
+            s.rel_time_sum += p.rel_time_sum;
+            s.rel_time_n += p.rel_time_n;
         }
     }
     out
