@@ -746,11 +746,7 @@ impl Accumulator for FusedAcc {
 pub fn compute(study: &Study) -> Fused {
     let ds = study.dataset();
     let proto = FusedAcc::proto(ds, study.enriched_batches(), None);
-    // Shard-partitioned fused pass: with the default single shard this is
-    // exactly `ScanPass::run`; under `--shards N` each shard's chunk
-    // partials merge into the running total in global chunk order, so the
-    // result is bit-identical either way (DESIGN.md §15).
-    ScanPass::run_plan(ds, &study.shard_plan(), &proto)
+    ScanPass::run(ds, &proto)
 }
 
 /// Runs the fused pass over a stream of owned shards — the bounded-memory

@@ -99,15 +99,10 @@ pub struct Study {
     /// Columns-optional fused provider; `None` means scan `ds.instances`.
     fused_source: Option<FusedSource>,
     /// Raw instance-table aggregates from the one fused scan, computed on
-    /// first use (most analytics functions only shape this cache), paired
-    /// with the instance-column mutation count the scan observed so a
-    /// post-scan mutation is refused instead of silently served stale.
-    fused: OnceLock<(u64, Fused)>,
-    /// Shards the fused scan partitions the instance table into (the
-    /// `--shards` knob). Purely a scheduling/memory knob: the chunk-
-    /// aligned [`ShardPlan`] makes any value produce bit-identical
-    /// results (`tests/parallel_determinism.rs`, `tests/export_golden.rs`).
-    shards: usize,
+    /// first use (most analytics functions only shape this cache). The
+    /// instance rows are immutable once the study owns them, so the memo
+    /// can never go stale.
+    fused: OnceLock<Fused>,
     /// Load provenance when the dataset came through the resilient ingest
     /// path (`None` for simulated or trusted-import datasets).
     ingest: Option<IngestReport>,
@@ -145,11 +140,12 @@ impl Study {
         Study::assemble(ds, index, metrics)
     }
 
-    /// Rebuilds a `Study` from persisted per-batch enrichment, skipping
-    /// clustering and metric computation entirely — the snapshot warm
-    /// path. `metrics` must be the sampled batches in dataset order, with
-    /// dense cluster ids, exactly as [`enrich_batches`] produces (and as
-    /// `crowd-snapshot` validates on decode).
+    /// Rebuilds a `Study` from already computed per-batch enrichment,
+    /// skipping clustering and metric computation entirely — the snapshot
+    /// rewrite path, which holds the rows it just enriched. `metrics` must
+    /// be the sampled batches in dataset order, with dense cluster ids,
+    /// exactly as [`enrich_batches`] produces (and as `crowd-snapshot`
+    /// validates on decode).
     pub fn from_enrichment(ds: Dataset, metrics: Vec<BatchMetrics>) -> Study {
         let index = ds.index();
         Study::assemble(ds, index, metrics)
@@ -203,28 +199,8 @@ impl Study {
             n_rows,
             fused_source: None,
             fused: OnceLock::new(),
-            shards: 1,
             ingest: None,
         }
-    }
-
-    /// Partitions the fused scan into at most `shards` chunk-aligned
-    /// shards (see [`ShardPlan`]). Results are bit-identical at any value;
-    /// this only changes how the one pass over the instance table is
-    /// scheduled. Clamped to at least 1.
-    ///
-    /// # Panics
-    /// If the fused scan already ran (the knob must be set before first
-    /// use, or the setting would silently not apply).
-    pub fn with_shards(mut self, shards: usize) -> Study {
-        assert!(self.fused.get().is_none(), "set shards before the fused scan runs");
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// The shard plan the fused scan runs under.
-    pub fn shard_plan(&self) -> ShardPlan {
-        ShardPlan::new(self.ds.instances.len(), self.shards)
     }
 
     /// Attaches the [`IngestReport`] the dataset was loaded under, so every
@@ -243,47 +219,14 @@ impl Study {
     ///
     /// Public so `crowd-testkit` can differential-test the fused engine
     /// against its straight-line oracles; analytics callers should prefer
-    /// the shaped module functions.
-    ///
-    /// # Panics
-    /// If the instance columns were mutated (via
-    /// [`instances_mut`](Self::instances_mut)) after the scan ran: the
-    /// cache would be stale, and serving it silently is exactly the bug
-    /// this refusal pins. Recompute by building a fresh `Study` — or keep
-    /// live data in a [`crate::view::FusedView`], which applies deltas
-    /// instead of memoizing one scan.
+    /// the shaped module functions. Data that changes belongs in a
+    /// [`crate::view::FusedView`], which applies deltas instead of
+    /// memoizing one scan.
     pub fn fused(&self) -> &Fused {
-        let (scanned_at, fused) = self.fused.get_or_init(|| {
-            let stamp = self.ds.instances.mutation_count();
-            let fused = match &self.fused_source {
-                Some(source) => source(self),
-                None => crate::fused::compute(self),
-            };
-            (stamp, fused)
-        });
-        assert_eq!(
-            *scanned_at,
-            self.ds.instances.mutation_count(),
-            "instance columns mutated after the fused scan ran; the memoized \
-             aggregates are stale — rebuild the Study (or use a FusedView for \
-             live data)"
-        );
-        fused
-    }
-
-    /// Mutable access to the resident instance columns, for repair surgery
-    /// and tests. Any row-visible mutation after the fused scan already ran
-    /// makes [`fused`](Self::fused) refuse (panic) instead of serving the
-    /// stale cache.
-    ///
-    /// # Panics
-    /// In columns-optional mode (no resident columns to mutate).
-    pub fn instances_mut(&mut self) -> &mut InstanceColumns {
-        assert!(
-            self.columns_resident(),
-            "columns-optional studies have no resident instance columns to mutate"
-        );
-        &mut self.ds.instances
+        self.fused.get_or_init(|| match &self.fused_source {
+            Some(source) => source(self),
+            None => crate::fused::compute(self),
+        })
     }
 
     /// The underlying dataset. In columns-optional mode the instance table
@@ -297,13 +240,6 @@ impl Study {
     /// are resident.
     pub fn n_instances(&self) -> usize {
         self.n_rows
-    }
-
-    /// Whether the instance columns are resident in
-    /// [`dataset`](Self::dataset) (`false` only for columns-optional
-    /// studies over a non-empty table).
-    pub fn columns_resident(&self) -> bool {
-        self.ds.instances.len() == self.n_rows
     }
 
     /// Navigation indexes.
@@ -753,32 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_refuses_after_post_scan_mutation() {
-        // Regression: the memoized fused scan used to make any later data
-        // change silently invisible — the cache kept serving pre-mutation
-        // aggregates. It must refuse instead.
-        let mut s = Study::new(crowd_sim::simulate(&crowd_sim::SimConfig::tiny(77)));
-        let tasks_before: u64 = s.fused().workers.values().map(|w| w.tasks).sum();
-        assert!(tasks_before > 0);
-        let trust = s.dataset().instances.row(0).trust;
-        s.instances_mut().set_trust(0, (trust - 0.5).abs());
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = s.fused().workers.len();
-        }));
-        assert!(refused.is_err(), "stale fused cache must be refused, not served");
-    }
-
-    #[test]
-    fn fused_allows_mutation_before_the_scan() {
-        let mut s = Study::new(crowd_sim::simulate(&crowd_sim::SimConfig::tiny(78)));
-        let trust = s.dataset().instances.row(0).trust;
-        s.instances_mut().set_trust(0, trust); // row-visible write, same value
-        let n = s.dataset().instances.len() as u64;
-        assert_eq!(s.fused().n_instances(), n, "pre-scan mutation is fine");
-        assert_eq!(s.fused().n_instances(), n, "and the cache stays valid");
-    }
-
-    #[test]
     fn metrics_are_plausible() {
         let s = study();
         for m in s.enriched_batches() {
@@ -855,9 +765,8 @@ mod tests {
         for shards in [1usize, 4, 16] {
             let plan = ShardPlan::new(ds.instances.len(), shards);
             let mut enricher = StreamingEnricher::new(&entities);
-            let sharded = ShardedColumns::split(ds.instances.clone(), shards);
-            for (base, shard) in sharded.iter_shards() {
-                enricher.flush(base, shard).expect("infallible");
+            for range in plan.ranges() {
+                enricher.flush(range.start, &ds.instances.clone_range(range)).expect("infallible");
             }
             assert_eq!(enricher.rows(), ds.instances.len());
             let streamed = enricher.finish(&entities, &clustering);
@@ -888,10 +797,10 @@ mod tests {
         let lean = Study::from_enrichment_streamed(entities, metrics, n, move |study| {
             // Stand-in for the snapshot reader: stream the held columns
             // back in CHUNK-aligned shards.
-            let sharded = ShardedColumns::split((*rows).clone(), 7);
-            let shards = sharded
-                .iter_shards()
-                .map(|(base, shard)| Ok::<_, std::convert::Infallible>((base, shard.clone())));
+            let plan = ShardPlan::new(rows.len(), 7);
+            let shards = plan
+                .ranges()
+                .map(|r| Ok::<_, std::convert::Infallible>((r.start, rows.clone_range(r))));
             let metrics: Vec<BatchMetrics> = study.enriched_batches().cloned().collect();
             crate::fused::compute_streamed(
                 study.dataset(),
@@ -902,8 +811,7 @@ mod tests {
             .expect("infallible stream")
         });
 
-        assert!(!lean.columns_resident());
-        assert!(full.columns_resident());
+        assert_eq!(full.dataset().instances.len(), n);
         assert_eq!(lean.n_instances(), n);
         assert_eq!(full.n_instances(), n);
         assert!(lean.dataset().instances.is_empty());

@@ -13,12 +13,13 @@
 //! * `BENCH_scan.json` `speedup_to_same_outputs` — fused single pass vs
 //!   one pass per analytics module, same six accumulators.
 //! * `BENCH_snapshot.json` `warm_speedup_vs_cold` — warm snapshot start
-//!   vs cold simulate+enrich.
+//!   (meta payload only) vs the cold streamed build + snapshot write, at
+//!   one shard.
 //! * `BENCH_shard.json` `warm_one_shard_speedup_vs_full_warm` — loading
 //!   one shard of a 16-shard scale-0.2 snapshot vs the full materializing
 //!   load.
 //! * `BENCH_shard.json` `streamed_cold_rss_advantage` — the one memory
-//!   ratio: peak RSS of the monolithic cold build vs the streaming cold
+//!   ratio: peak RSS of the store-less cold build vs the streaming cold
 //!   build (fresh child process each, so `VmHWM` is uncontaminated).
 //! * `BENCH_serve.json` `delta_apply_speedup_vs_batch_rebuild` — the
 //!   live view's incremental delta application vs rebuilding the fused
@@ -97,7 +98,8 @@ fn measure_scan_ratio() -> f64 {
     seq_s / fused_s
 }
 
-/// Warm snapshot start vs cold simulate+enrich at the snapshot-bench scale.
+/// Warm snapshot start (meta only) vs the cold streamed build + write at
+/// the snapshot-bench scale, through a one-shard store.
 fn measure_snapshot_ratio() -> f64 {
     let cfg = SimConfig::new(2017, 0.05);
     let store = temp_store("snapshot", 1);
@@ -116,8 +118,8 @@ fn measure_snapshot_ratio() -> f64 {
 }
 
 /// One-shard load vs the full materializing load on a 16-shard scale-0.2
-/// snapshot. `store.load` (not `study_from_config`): with shards > 1 the
-/// warm Study is columns-optional and never materializes the table, so
+/// snapshot. `store.load` (not `study_from_config`): the warm Study is
+/// columns-optional and never materializes the table, so
 /// the denominator must pin the full load explicitly to keep measuring
 /// the same thing the baseline recorded.
 fn measure_shard_ratio() -> f64 {
@@ -202,7 +204,7 @@ fn vmhwm_kb() -> u64 {
 fn rss_child(mode: &str) {
     let cfg = SimConfig::new(2017, 0.2);
     match mode {
-        // Monolithic cold build: no store, full table resident.
+        // Store-less cold build: full table resident.
         "mono_cold" => {
             let study = warm::study_from_config(&cfg, None);
             std::hint::black_box(study.n_instances());
@@ -235,7 +237,7 @@ fn child_rss(mode: &str) -> f64 {
         .expect("GATE_RSS_KB value")
 }
 
-/// Peak-RSS advantage of the streaming cold build over the monolithic one
+/// Peak-RSS advantage of the streaming cold build over the store-less one
 /// (scale 0.2, 16 shards). VmHWM is a per-process high-water mark, so each
 /// side runs in a fresh child. Memory, not time: a regression here means
 /// the streamed path started materializing rows again.

@@ -1,5 +1,5 @@
 //! Sharded-store memory and wall-clock profile (DESIGN.md §15, §16): cold
-//! build (streaming when shards > 1), repro-shaped cold build + fused
+//! build (streamed at every shard count), repro-shaped cold build + fused
 //! scan, warm start, streamed fused scan, and single-shard load, across
 //! scale × shard-count combinations. Numbers land in `BENCH_shard.json`
 //! by hand.
@@ -44,10 +44,9 @@ fn run_child(mode: &str, scale: f64, shards: usize, dir: &Path) {
     let c = cfg(scale);
     let t0 = Instant::now();
     match mode {
-        // Simulate + enrich + write the sharded snapshot (cache priming).
-        // With shards > 1 this is the *streaming* build (DESIGN.md §16):
-        // entities plus ~one shard resident, sections flushed to disk as
-        // they finish. At shards = 1 it is the monolithic pipeline.
+        // Simulate + enrich + write the sharded snapshot (cache priming):
+        // the *streaming* build (DESIGN.md §16), entities plus ~one shard
+        // resident, sections flushed to disk as they finish.
         "cold_build" => {
             let study = warm::study_from_config(&c, Some(&store));
             black_box(study.n_instances());
@@ -60,17 +59,15 @@ fn run_child(mode: &str, scale: f64, shards: usize, dir: &Path) {
             let study = warm::study_from_config(&c, Some(&store));
             black_box(study.fused().n_instances());
         }
-        // Warm start, as `repro`/`export` do it. With shards > 1 this
-        // loads entities + enrichment only (columns-optional Study); at
-        // shards = 1 it materializes the whole table.
+        // Warm start, as `repro`/`export` do it: entities + enrichment
+        // only (columns-optional Study), at every shard count.
         "warm_study" => {
             let study = warm::study_from_config(&c, Some(&store));
             black_box(study.n_instances());
         }
         // Full materializing load: every shard verified and appended into
-        // one table (`store.load`) — what shards = 1 warm starts and
-        // derived-parameter rewrites pay. Kept separate from `warm_study`,
-        // which no longer materializes rows when shards > 1.
+        // one table (`store.load`) — what derived-parameter rewrites pay.
+        // Kept separate from `warm_study`, which never materializes rows.
         "warm_full_load" => {
             let snap = store.load(&c).expect("snapshot must exist and verify");
             black_box(snap.dataset.instances.len());

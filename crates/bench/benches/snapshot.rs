@@ -1,6 +1,7 @@
 //! Snapshot warm-start speedup: `Study::new`-equivalent construction cold
 //! (simulate + shingle + LSH + enrich, writing the snapshot) vs warm
-//! (read + verify + rebuild from persisted enrichment) at the conformance
+//! (read + verify the meta payload, rebuild from persisted enrichment; the
+//! rows stay on disk until a fused scan streams them) at the conformance
 //! scale. Both paths are bit-identical by construction — see
 //! `tests/snapshot_golden.rs` — so this measures pure work avoided.
 //! Numbers land in `BENCH_snapshot.json` by hand.

@@ -101,7 +101,7 @@ impl InstanceRef<'_> {
 /// Scans that read a subset of fields (most analytics do) touch only those
 /// columns; [`InstanceColumns::row`] / [`Dataset::instance`] reassemble a
 /// full row view when row-at-a-time access is clearer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InstanceColumns {
     batch: Vec<BatchId>,
@@ -111,24 +111,6 @@ pub struct InstanceColumns {
     end: Vec<Timestamp>,
     trust: Vec<f32>,
     answer: Vec<Answer>,
-    /// Bumped by every row-visible mutation, so derived state (the memoized
-    /// fused scan above all) can detect that its input changed out from
-    /// under it. Not part of the value: excluded from equality.
-    mutations: u64,
-}
-
-/// Equality is over the row data only — two stores holding the same rows
-/// compare equal regardless of how many mutations produced them.
-impl PartialEq for InstanceColumns {
-    fn eq(&self, other: &InstanceColumns) -> bool {
-        self.batch == other.batch
-            && self.item == other.item
-            && self.worker == other.worker
-            && self.start == other.start
-            && self.end == other.end
-            && self.trust == other.trust
-            && self.answer == other.answer
-    }
 }
 
 impl InstanceColumns {
@@ -181,26 +163,16 @@ impl InstanceColumns {
         if let Some(&got) = lens.iter().find(|&&l| l != n) {
             return Err(CoreError::ColumnLengthMismatch { expected: n, got });
         }
-        Ok(InstanceColumns { batch, item, worker, start, end, trust, answer, mutations: 0 })
-    }
-
-    /// How many row-visible mutations this store has absorbed. The counter
-    /// travels with clones, so a cached scan result can stamp the count it
-    /// saw and detect any later [`push`](Self::push)/`set_*`/
-    /// [`truncate`](Self::truncate) that would silently invalidate it.
-    #[inline]
-    pub fn mutation_count(&self) -> u64 {
-        self.mutations
+        Ok(InstanceColumns { batch, item, worker, start, end, trust, answer })
     }
 
     /// Splits the store at `at`, returning the tail `[at, len)` and
     /// keeping `[0, at)` — column-wise [`Vec::split_off`], so rows move,
-    /// they are never cloned. The sharding layer's partition primitive.
+    /// they are never cloned.
     ///
     /// # Panics
     /// When `at > len()`.
     pub fn split_off(&mut self, at: usize) -> InstanceColumns {
-        self.mutations += 1;
         InstanceColumns {
             batch: self.batch.split_off(at),
             item: self.item.split_off(at),
@@ -209,7 +181,6 @@ impl InstanceColumns {
             end: self.end.split_off(at),
             trust: self.trust.split_off(at),
             answer: self.answer.split_off(at),
-            mutations: 0,
         }
     }
 
@@ -217,7 +188,6 @@ impl InstanceColumns {
     /// [`Vec::truncate`]. The restore path's "rewind to the checkpointed
     /// prefix" primitive.
     pub fn truncate(&mut self, len: usize) {
-        self.mutations += 1;
         self.batch.truncate(len);
         self.item.truncate(len);
         self.worker.truncate(len);
@@ -234,7 +204,6 @@ impl InstanceColumns {
     /// # Panics
     /// When `range` is out of bounds for `other`.
     pub fn extend_from(&mut self, other: &InstanceColumns, range: std::ops::Range<usize>) {
-        self.mutations += 1;
         self.batch.extend_from_slice(&other.batch[range.clone()]);
         self.item.extend_from_slice(&other.item[range.clone()]);
         self.worker.extend_from_slice(&other.worker[range.clone()]);
@@ -252,7 +221,6 @@ impl InstanceColumns {
     pub fn clone_range(&self, range: std::ops::Range<usize>) -> InstanceColumns {
         let mut out = InstanceColumns::new();
         out.extend_from(self, range);
-        out.mutations = 0;
         out
     }
 
@@ -260,8 +228,6 @@ impl InstanceColumns {
     /// empty — column-wise [`Vec::append`]. Inverse of
     /// [`split_off`](Self::split_off).
     pub fn append(&mut self, other: &mut InstanceColumns) {
-        self.mutations += 1;
-        other.mutations += 1;
         self.batch.append(&mut other.batch);
         self.item.append(&mut other.item);
         self.worker.append(&mut other.worker);
@@ -273,7 +239,6 @@ impl InstanceColumns {
 
     /// Appends one instance, decomposing it into the columns.
     pub fn push(&mut self, inst: TaskInstance) {
-        self.mutations += 1;
         self.batch.push(inst.batch);
         self.item.push(inst.item);
         self.worker.push(inst.worker);
@@ -352,37 +317,31 @@ impl InstanceColumns {
     /// Overwrites the batch id of row `i` (test/repair surgery; analytics
     /// never mutate).
     pub fn set_batch(&mut self, i: usize, batch: BatchId) {
-        self.mutations += 1;
         self.batch[i] = batch;
     }
 
     /// Overwrites the worker id of row `i`.
     pub fn set_worker(&mut self, i: usize, worker: WorkerId) {
-        self.mutations += 1;
         self.worker[i] = worker;
     }
 
     /// Overwrites the start timestamp of row `i`.
     pub fn set_start(&mut self, i: usize, start: Timestamp) {
-        self.mutations += 1;
         self.start[i] = start;
     }
 
     /// Overwrites the end timestamp of row `i`.
     pub fn set_end(&mut self, i: usize, end: Timestamp) {
-        self.mutations += 1;
         self.end[i] = end;
     }
 
     /// Overwrites the trust score of row `i`.
     pub fn set_trust(&mut self, i: usize, trust: f32) {
-        self.mutations += 1;
         self.trust[i] = trust;
     }
 
     /// Overwrites the answer of row `i`.
     pub fn set_answer(&mut self, i: usize, answer: Answer) {
-        self.mutations += 1;
         self.answer[i] = answer;
     }
 }
@@ -896,26 +855,6 @@ mod tests {
         let rows: Vec<TaskInstance> = ds.instances.iter().map(|r| r.to_owned()).collect();
         let rebuilt: InstanceColumns = rows.into_iter().collect();
         assert_eq!(rebuilt, ds.instances);
-    }
-
-    #[test]
-    fn mutation_counter_tracks_row_visible_changes_only() {
-        let ds = tiny();
-        let mut cols = ds.instances.clone();
-        let stamp = cols.mutation_count();
-        cols.reserve(16); // capacity-only: not a row-visible change
-        assert_eq!(cols.mutation_count(), stamp);
-        cols.set_trust(0, 0.5);
-        assert!(cols.mutation_count() > stamp);
-        let stamp = cols.mutation_count();
-        cols.push(ds.instances.row(0).to_owned());
-        assert!(cols.mutation_count() > stamp);
-        let stamp = cols.mutation_count();
-        cols.truncate(2);
-        assert!(cols.mutation_count() > stamp);
-        assert_eq!(cols.len(), 2);
-        // The counter never participates in equality.
-        assert_eq!(cols.clone_range(0..2), cols);
     }
 
     #[test]

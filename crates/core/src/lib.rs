@@ -71,7 +71,7 @@ pub use labels::{Complexity, DataType, Goal, LabelSet, Operator};
 pub use provenance::{ErrorBudget, IngestReport, QuarantinedRow, TableReport};
 pub use query::{Accumulator, ScanPass, StreamFold};
 pub use rng::stream_seed;
-pub use shard::{ShardPlan, ShardSink, ShardedColumns};
+pub use shard::{ShardPlan, ShardSink};
 pub use task::{Batch, DesignFeatures, TaskType};
 pub use time::{Duration, Timestamp, WeekIndex, Weekday};
 pub use worker::{Country, Source, SourceKind, Worker};
@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::provenance::{ErrorBudget, IngestReport, QuarantinedRow, TableReport};
     pub use crate::query::{Accumulator, ScanPass, StreamFold};
     pub use crate::rng::stream_seed;
-    pub use crate::shard::{ShardPlan, ShardSink, ShardedColumns};
+    pub use crate::shard::{ShardPlan, ShardSink};
     pub use crate::task::{Batch, DesignFeatures, TaskType};
     pub use crate::time::{Duration, Timestamp, WeekIndex, Weekday};
     pub use crate::worker::{Country, Source, SourceKind, Worker};

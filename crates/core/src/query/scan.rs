@@ -24,31 +24,46 @@
 //! Threads only decide *who* computes a chunk, not *what* is computed or
 //! *in which order* results combine.
 //!
+//! Chunk partials are computed and merged in fixed windows of
+//! `MERGE_WINDOW` chunks, so at most one window of partials is resident
+//! however long the table is. Windows merge in the same chunk order, so
+//! the window size is bit-invisible too.
+//!
 //! ## Shard reduction
 //!
-//! Sharding composes with the same discipline (DESIGN.md §15): a sharded
-//! scan ([`ScanPass::run_plan`], [`ScanPass::run_sharded`],
-//! [`ScanPass::run_stream`]) folds each shard's chunks exactly as above
-//! and merges **chunk-level** partials into one running total in global
-//! chunk order. Because shard boundaries are always [`ScanPass::CHUNK`]
-//! multiples (see [`crate::shard::ShardPlan`]), the chunk decomposition —
-//! and therefore every float-merge pairing — is *identical* to the
-//! monolithic scan: shard count is bit-invisible by construction, not by
-//! accident. The merge unit is the fixed chunk; shards only batch the
-//! schedule (and, for [`run_stream`](ScanPass::run_stream), bound how
-//! many rows are resident at once).
+//! Sharding composes with the same discipline (DESIGN.md §15): a streamed
+//! scan ([`ScanPass::run_stream`], [`StreamFold`]) folds each shard's
+//! chunks exactly as above and merges **chunk-level** partials into one
+//! running total in global chunk order. Because shard boundaries are
+//! always [`ScanPass::CHUNK`] multiples (see [`crate::shard::ShardPlan`]),
+//! the chunk decomposition — and therefore every float-merge pairing — is
+//! *identical* to the monolithic scan: shard count is bit-invisible by
+//! construction, not by accident. The merge unit is the fixed chunk;
+//! shards only bound how many rows are resident at once.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rayon::prelude::*;
 
 use crate::dataset::{Dataset, InstanceColumns, InstanceRef};
 use crate::id::InstanceId;
-use crate::shard::{ShardPlan, ShardSink, ShardedColumns};
+use crate::shard::ShardSink;
 
-/// Counts completed full-table scans ([`ScanPass::run`] calls) in this
-/// process; a debug/diagnostic aid for asserting scan-fusion budgets.
-static FULL_SCANS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Full-table scans started on this thread; a diagnostic aid for
+    /// asserting scan-fusion budgets. Per thread, so concurrently running
+    /// tests never see each other's scans.
+    static FULL_SCANS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one full-table scan against the calling thread.
+fn count_scan() {
+    FULL_SCANS.with(|n| n.set(n.get() + 1));
+}
+
+/// Chunk partials folded in parallel and merged before the next window
+/// starts: bounds resident partials to this many per scan.
+const MERGE_WINDOW: usize = 64;
 
 /// A streaming aggregate computed in one pass over the instance table.
 ///
@@ -126,45 +141,9 @@ impl ScanPass {
 
     /// Runs `proto` over every instance of `ds` and returns its output.
     pub fn run<A: Accumulator>(ds: &Dataset, proto: &A) -> A::Output {
-        FULL_SCANS.fetch_add(1, Ordering::Relaxed);
+        count_scan();
         let mut total = proto.init();
         Self::fold_range(ds, &ds.instances, 0, 0..ds.instances.len(), proto, &mut total);
-        total.finish(ds)
-    }
-
-    /// Runs `proto` over `ds.instances` shard by shard per `plan`, merging
-    /// each shard's chunk partials into one running total in global chunk
-    /// order. Bit-identical to [`run`](Self::run) at any shard count —
-    /// the plan's chunk-aligned boundaries reproduce the monolithic chunk
-    /// decomposition exactly.
-    ///
-    /// # Panics
-    /// When `plan` does not cover exactly `ds.instances.len()` rows.
-    pub fn run_plan<A: Accumulator>(ds: &Dataset, plan: &ShardPlan, proto: &A) -> A::Output {
-        assert_eq!(plan.n_rows(), ds.instances.len(), "plan must cover the instance table");
-        FULL_SCANS.fetch_add(1, Ordering::Relaxed);
-        let mut total = proto.init();
-        for range in plan.ranges() {
-            Self::fold_range(ds, &ds.instances, 0, range, proto, &mut total);
-        }
-        total.finish(ds)
-    }
-
-    /// Runs `proto` over a physically sharded store. `ds` supplies the
-    /// entity context ([`Accumulator::accept`] receives it for batch /
-    /// worker lookups); the rows come from `sharded`, not from
-    /// `ds.instances`. Bit-identical to running over the concatenated
-    /// store.
-    pub fn run_sharded<A: Accumulator>(
-        ds: &Dataset,
-        sharded: &ShardedColumns,
-        proto: &A,
-    ) -> A::Output {
-        FULL_SCANS.fetch_add(1, Ordering::Relaxed);
-        let mut total = proto.init();
-        for (base, shard) in sharded.iter_shards() {
-            Self::fold_range(ds, shard, base, 0..shard.len(), proto, &mut total);
-        }
         total.finish(ds)
     }
 
@@ -195,10 +174,10 @@ impl ScanPass {
     }
 
     /// Folds local rows `range` of `cols` (global ids offset by `base`)
-    /// into `total`: chunk partials computed in parallel, merged
-    /// sequentially in chunk order. Every public entry point reduces to
-    /// this, so the merge order — hence every float bit — is shared by
-    /// the monolithic, planned, sharded, and streamed scans.
+    /// into `total`: chunk partials computed in parallel one
+    /// `MERGE_WINDOW` at a time, merged sequentially in chunk order. Every
+    /// public entry point reduces to this, so the merge order — hence
+    /// every float bit — is shared by the monolithic and streamed scans.
     fn fold_range<A: Accumulator>(
         ds: &Dataset,
         cols: &InstanceColumns,
@@ -216,27 +195,24 @@ impl ScanPass {
         let chunks: Vec<(usize, usize)> = (0..(hi - lo).div_ceil(Self::CHUNK))
             .map(|c| (lo + c * Self::CHUNK, (lo + (c + 1) * Self::CHUNK).min(hi)))
             .collect();
-        let parts: Vec<A> = chunks
-            .par_iter()
-            .map(|&(clo, chi)| {
-                let mut acc = proto.init();
-                acc.accept_chunk(ds, base, cols, clo..chi);
-                acc
-            })
-            .collect();
-        for part in parts {
-            total.merge(part);
+        for window in chunks.chunks(MERGE_WINDOW) {
+            let parts: Vec<A> = window
+                .par_iter()
+                .map(|&(clo, chi)| {
+                    let mut acc = proto.init();
+                    acc.accept_chunk(ds, base, cols, clo..chi);
+                    acc
+                })
+                .collect();
+            for part in parts {
+                total.merge(part);
+            }
         }
     }
 
-    /// Number of full-table scans performed by this process so far.
+    /// Number of full-table scans started on the calling thread so far.
     pub fn full_scan_count() -> u64 {
-        FULL_SCANS.load(Ordering::Relaxed)
-    }
-
-    /// Resets the scan counter (test isolation).
-    pub fn reset_scan_count() {
-        FULL_SCANS.store(0, Ordering::Relaxed);
+        FULL_SCANS.with(Cell::get)
     }
 }
 
@@ -246,11 +222,11 @@ impl ScanPass {
 /// being iterated.
 ///
 /// Each flushed shard goes through the same `fold_range` (chunk partials
-/// in parallel, merged sequentially in global chunk order) as every other
-/// scan entry point, so the finished output is bit-identical to a
-/// monolithic [`ScanPass::run`] over the concatenated rows. Constructing
-/// a `StreamFold` counts as one full-table scan toward
-/// [`ScanPass::full_scan_count`].
+/// in parallel, merged sequentially in global chunk order) as
+/// [`ScanPass::run`], so the finished output is bit-identical to a
+/// monolithic scan over the concatenated rows. Constructing a
+/// `StreamFold` counts as one full-table scan toward
+/// [`ScanPass::full_scan_count`] on the constructing thread.
 pub struct StreamFold<'a, A: Accumulator> {
     ds: &'a Dataset,
     proto: &'a A,
@@ -262,7 +238,7 @@ impl<'a, A: Accumulator> StreamFold<'a, A> {
     /// A fold ready to accept shard 0. `ds` supplies entity context only;
     /// the rows come from the flushed shards.
     pub fn new(ds: &'a Dataset, proto: &'a A) -> StreamFold<'a, A> {
-        FULL_SCANS.fetch_add(1, Ordering::Relaxed);
+        count_scan();
         StreamFold { ds, proto, total: proto.init(), next_base: 0 }
     }
 
@@ -532,36 +508,44 @@ mod tests {
         assert_eq!(ScanPass::run(&ds, &TrustSum::default()), 0.0);
     }
 
+    /// `(base, rows)` pieces of `ds.instances` cut per a [`ShardPlan`].
+    fn pieces(ds: &Dataset, shards: usize) -> Vec<(usize, InstanceColumns)> {
+        let plan = crate::shard::ShardPlan::new(ds.instances.len(), shards);
+        plan.ranges().map(|r| (r.start, ds.instances.clone_range(r))).collect()
+    }
+
     #[test]
     fn shard_count_is_bit_invisible() {
-        // The heart of the sharding contract: planned, physically sharded,
-        // and streamed scans all reproduce the monolithic float bits, at
-        // any shard count crossed with any thread count.
+        // The heart of the sharding contract: streamed scans reproduce the
+        // monolithic float bits at any shard count crossed with any thread
+        // count.
         let ds = dataset(3 * ScanPass::CHUNK + 1234);
         let baseline = ScanPass::run(&ds, &TrustSum::default()).to_bits();
         for threads in [1, 4] {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             pool.install(|| {
                 for shards in [1, 2, 3, 8, 100] {
-                    let plan = crate::shard::ShardPlan::new(ds.instances.len(), shards);
-                    let planned = ScanPass::run_plan(&ds, &plan, &TrustSum::default());
-                    assert_eq!(planned.to_bits(), baseline, "plan {shards}x{threads}");
-
-                    let sharded = crate::shard::ShardedColumns::split(ds.instances.clone(), shards);
-                    let physical = ScanPass::run_sharded(&ds, &sharded, &TrustSum::default());
-                    assert_eq!(physical.to_bits(), baseline, "sharded {shards}x{threads}");
-
-                    let blocks = sharded
-                        .iter_shards()
-                        .map(|(base, s)| Ok::<_, ()>((base, s.clone())))
-                        .collect::<Vec<_>>();
-                    let streamed =
-                        ScanPass::run_stream(&ds, &TrustSum::default(), blocks.into_iter())
-                            .unwrap();
+                    let blocks = pieces(&ds, shards).into_iter().map(Ok::<_, ()>);
+                    let streamed = ScanPass::run_stream(&ds, &TrustSum::default(), blocks).unwrap();
                     assert_eq!(streamed.to_bits(), baseline, "stream {shards}x{threads}");
                 }
             });
         }
+    }
+
+    #[test]
+    fn merge_window_is_bit_invisible() {
+        // More chunks than one merge window, plus a remainder: windowed
+        // merging must equal one sequential left-to-right chunk fold.
+        let ds = dataset((MERGE_WINDOW + 1) * ScanPass::CHUNK + 5);
+        let mut manual = 0.0f64;
+        for lo in (0..ds.instances.len()).step_by(ScanPass::CHUNK) {
+            let hi = (lo + ScanPass::CHUNK).min(ds.instances.len());
+            let part = ds.instances.trust_col()[lo..hi].iter().fold(0.0, |a, &t| a + f64::from(t));
+            manual += part;
+        }
+        let got = ScanPass::run(&ds, &TrustSum::default());
+        assert_eq!(got.to_bits(), manual.to_bits());
     }
 
     #[test]
@@ -587,8 +571,8 @@ mod tests {
             }
         }
         let before = ScanPass::full_scan_count();
-        let sharded = crate::shard::ShardedColumns::split(ds.instances.clone(), 3);
-        let max_id = ScanPass::run_sharded(&ds, &sharded, &MaxId::default());
+        let blocks = pieces(&ds, 3).into_iter().map(Ok::<_, ()>);
+        let max_id = ScanPass::run_stream(&ds, &MaxId::default(), blocks).unwrap();
         assert_eq!(ScanPass::full_scan_count() - before, 1, "one fused pass");
         assert_eq!(max_id, ds.instances.len() as u64 - 1);
     }
@@ -598,13 +582,12 @@ mod tests {
         let ds = dataset(3 * ScanPass::CHUNK + 77);
         let baseline = ScanPass::run(&ds, &TrustSum::default()).to_bits();
         for shards in [1, 2, 5] {
-            let sharded = crate::shard::ShardedColumns::split(ds.instances.clone(), shards);
             let proto = TrustSum::default();
             let before = ScanPass::full_scan_count();
             let mut fold = StreamFold::new(&ds, &proto);
-            for (base, shard) in sharded.iter_shards() {
+            for (base, shard) in pieces(&ds, shards) {
                 assert_eq!(fold.rows(), base);
-                fold.flush(base, shard).unwrap();
+                fold.flush(base, &shard).unwrap();
             }
             assert_eq!(fold.rows(), ds.instances.len());
             assert_eq!(fold.finish().to_bits(), baseline, "shards={shards}");

@@ -15,19 +15,17 @@
 //!    bit-identical at any shard count.
 //! 2. **Determinism of the plan.** [`ShardPlan::new`] is a pure function
 //!    of `(n_rows, requested_shards)` — no host property participates —
-//!    so the same config always produces the same shard layout, on disk
-//!    and in memory.
+//!    so the same config always produces the same snapshot file layout.
 //!
 //! The plan may produce *fewer* shards than requested: a table shorter
 //! than `requested · CHUNK` rows cannot be cut into `requested` aligned
 //! non-empty pieces. Callers treat the request as an upper bound.
 
-use crate::dataset::{InstanceColumns, InstanceRef, TaskInstance};
+use crate::dataset::InstanceColumns;
 use crate::query::ScanPass;
 
 /// Receives completed, chunk-aligned shards one at a time, in ascending
-/// base order — the streaming-build counterpart of
-/// [`ShardedColumns::iter_shards`].
+/// base order.
 ///
 /// Producers (the simulator's shard-flushing assignment loop, a snapshot
 /// reader replaying sections) call [`flush`](Self::flush) once per shard
@@ -78,11 +76,6 @@ impl ShardPlan {
         ShardPlan { n_rows, shard_rows }
     }
 
-    /// A single-shard plan (the monolithic layout).
-    pub fn single(n_rows: usize) -> ShardPlan {
-        ShardPlan { n_rows, shard_rows: n_rows.div_ceil(ScanPass::CHUNK).max(1) * ScanPass::CHUNK }
-    }
-
     /// Total rows covered.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -112,162 +105,13 @@ impl ShardPlan {
     pub fn ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         (0..self.n_shards()).map(|k| self.bounds(k))
     }
-
-    /// The shard a global row falls into.
-    pub fn shard_of(&self, row: usize) -> usize {
-        row / self.shard_rows
-    }
-}
-
-/// An owning, sharded instance store: [`InstanceColumns`] split into
-/// contiguous chunk-aligned pieces per a [`ShardPlan`], still addressable
-/// by global row through the same [`InstanceRef`] row view.
-///
-/// This is the layout the sharded snapshot format mirrors on disk (one
-/// independently checksummed section per shard) and the unit the
-/// streaming scan ([`ScanPass::run_stream`](crate::query::ScanPass))
-/// consumes one piece at a time for bounded peak memory.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardedColumns {
-    shard_rows: usize,
-    n_rows: usize,
-    shards: Vec<InstanceColumns>,
-}
-
-impl ShardedColumns {
-    /// An empty store laid out per `plan`, ready for [`push`](Self::push).
-    pub fn with_plan(plan: ShardPlan) -> ShardedColumns {
-        ShardedColumns { shard_rows: plan.shard_rows(), n_rows: 0, shards: Vec::new() }
-    }
-
-    /// Splits a monolithic store into at most `requested` chunk-aligned
-    /// shards. Total order is preserved: concatenating the shards yields
-    /// the input exactly.
-    pub fn split(cols: InstanceColumns, requested: usize) -> ShardedColumns {
-        let plan = ShardPlan::new(cols.len(), requested);
-        let mut shards = Vec::with_capacity(plan.n_shards());
-        let n_rows = cols.len();
-        let mut remaining = cols;
-        while remaining.len() > plan.shard_rows() {
-            let tail = remaining.split_off(plan.shard_rows());
-            shards.push(remaining);
-            remaining = tail;
-        }
-        if !remaining.is_empty() {
-            shards.push(remaining);
-        }
-        ShardedColumns { shard_rows: plan.shard_rows(), n_rows, shards }
-    }
-
-    /// Reassembles the monolithic store, preserving global row order.
-    pub fn concat(self) -> InstanceColumns {
-        let mut out = InstanceColumns::new();
-        out.reserve(self.n_rows);
-        for mut shard in self.shards {
-            out.append(&mut shard);
-        }
-        out
-    }
-
-    /// Total rows across all shards.
-    pub fn len(&self) -> usize {
-        self.n_rows
-    }
-
-    /// True when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Rows per full shard (a [`ScanPass::CHUNK`] multiple).
-    pub fn shard_rows(&self) -> usize {
-        self.shard_rows
-    }
-
-    /// The plan this store is laid out under.
-    pub fn plan(&self) -> ShardPlan {
-        ShardPlan { n_rows: self.n_rows, shard_rows: self.shard_rows }
-    }
-
-    /// Shard `k`'s columns.
-    pub fn shard(&self, k: usize) -> &InstanceColumns {
-        &self.shards[k]
-    }
-
-    /// Global row index of shard `k`'s first row.
-    pub fn base(&self, k: usize) -> usize {
-        k * self.shard_rows
-    }
-
-    /// Row view at *global* position `i`. Panics when out of bounds.
-    pub fn row(&self, i: usize) -> InstanceRef<'_> {
-        self.shards[i / self.shard_rows].row(i % self.shard_rows)
-    }
-
-    /// Row view at global position `i`, or `None` when out of bounds.
-    pub fn get(&self, i: usize) -> Option<InstanceRef<'_>> {
-        (i < self.n_rows).then(|| self.row(i))
-    }
-
-    /// Appends one instance to the tail, opening a new shard whenever the
-    /// current one reaches `shard_rows` — the streaming-build entry point
-    /// (simulation fills shards as drafts arrive instead of materializing
-    /// one monolithic table first).
-    pub fn push(&mut self, inst: TaskInstance) {
-        if self.n_rows == self.shards.len() * self.shard_rows {
-            self.shards.push(InstanceColumns::new());
-        }
-        self.shards.last_mut().expect("shard just ensured").push(inst);
-        self.n_rows += 1;
-    }
-
-    /// Iterates `(base_row, shard)` pairs in shard order.
-    pub fn iter_shards(&self) -> impl Iterator<Item = (usize, &InstanceColumns)> + '_ {
-        self.shards.iter().enumerate().map(|(k, s)| (k * self.shard_rows, s))
-    }
-
-    /// Iterates row views in global row order.
-    pub fn iter(&self) -> impl Iterator<Item = InstanceRef<'_>> + '_ {
-        self.shards.iter().flat_map(|s| s.iter())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::answer::Answer;
-    use crate::id::{BatchId, ItemId, WorkerId};
-    use crate::time::{Duration, Timestamp};
 
     const CHUNK: usize = ScanPass::CHUNK;
-
-    fn cols(rows: usize) -> InstanceColumns {
-        let t0 = Timestamp::from_ymd(2015, 1, 1);
-        let mut c = InstanceColumns::new();
-        c.reserve(rows);
-        for i in 0..rows {
-            let start = t0 + Duration::from_secs(i as i64);
-            c.push(TaskInstance {
-                batch: BatchId::new((i % 7) as u32),
-                item: ItemId::new(i as u32),
-                worker: WorkerId::new((i % 13) as u32),
-                start,
-                end: start + Duration::from_secs(30),
-                trust: (i % 100) as f32 / 100.0,
-                answer: if i % 5 == 0 {
-                    Answer::Text(format!("t{i}"))
-                } else {
-                    Answer::Choice((i % 3) as u16)
-                },
-            });
-        }
-        c
-    }
 
     #[test]
     fn plan_is_chunk_aligned_and_covers_all_rows() {
@@ -293,58 +137,6 @@ mod tests {
     fn plan_is_deterministic_and_empty_is_zero_shards() {
         assert_eq!(ShardPlan::new(50_000, 4), ShardPlan::new(50_000, 4));
         assert_eq!(ShardPlan::new(0, 8).n_shards(), 0);
-        assert_eq!(ShardPlan::single(3 * CHUNK + 5).n_shards(), 1);
-    }
-
-    #[test]
-    fn split_concat_round_trips() {
-        for rows in [0, 1, CHUNK, 3 * CHUNK + 100] {
-            for requested in [1, 2, 3, 8] {
-                let original = cols(rows);
-                let sharded = ShardedColumns::split(original.clone(), requested);
-                assert_eq!(sharded.len(), rows);
-                assert_eq!(sharded.concat(), original, "rows={rows} req={requested}");
-            }
-        }
-    }
-
-    #[test]
-    fn global_row_view_crosses_shard_boundaries() {
-        let rows = 2 * CHUNK + 57;
-        let original = cols(rows);
-        let sharded = ShardedColumns::split(original.clone(), 3);
-        assert!(sharded.n_shards() > 1, "test must exercise a boundary");
-        for i in [0, CHUNK - 1, CHUNK, rows - 1] {
-            assert_eq!(sharded.row(i).to_owned(), original.row(i).to_owned(), "row {i}");
-        }
-        assert!(sharded.get(rows).is_none());
-        let via_iter: Vec<_> = sharded.iter().map(|r| r.to_owned()).collect();
-        let direct: Vec<_> = original.iter().map(|r| r.to_owned()).collect();
-        assert_eq!(via_iter, direct);
-    }
-
-    #[test]
-    fn streaming_push_matches_split() {
-        let rows = CHUNK + 99;
-        let original = cols(rows);
-        let plan = ShardPlan::new(rows, 2);
-        let mut streamed = ShardedColumns::with_plan(plan);
-        for r in original.iter() {
-            streamed.push(r.to_owned());
-        }
-        assert_eq!(streamed, ShardedColumns::split(original, 2));
-        assert_eq!(streamed.n_shards(), plan.n_shards());
-    }
-
-    #[test]
-    fn bases_and_shard_lookup_agree() {
-        let sharded = ShardedColumns::split(cols(3 * CHUNK + 1), 4);
-        let plan = sharded.plan();
-        for (k, (base, shard)) in sharded.iter_shards().enumerate() {
-            assert_eq!(base, sharded.base(k));
-            assert_eq!(base % CHUNK, 0, "shard bases stay chunk-aligned");
-            assert_eq!(shard.len(), plan.bounds(k).len());
-            assert_eq!(plan.shard_of(base), k);
-        }
+        assert_eq!(ShardPlan::new(3 * CHUNK + 5, 1).n_shards(), 1);
     }
 }

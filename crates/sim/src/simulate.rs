@@ -300,10 +300,10 @@ mod tests {
         let monolithic = simulate(&cfg);
         for shards in [1usize, 3] {
             let plan = ShardPlan::new(monolithic.instances.len(), shards);
-            let mut streamed = ShardedColumns::with_plan(plan);
+            let mut streamed = InstanceColumns::new();
             // A sink that re-collects the shards (keeps the pattern honest:
             // contiguous, ascending, chunk-aligned bases).
-            struct Collect<'a>(&'a mut ShardedColumns, usize);
+            struct Collect<'a>(&'a mut InstanceColumns);
             impl ShardSink for Collect<'_> {
                 type Error = std::convert::Infallible;
                 fn flush(
@@ -311,22 +311,19 @@ mod tests {
                     base: usize,
                     shard: &InstanceColumns,
                 ) -> std::result::Result<(), Self::Error> {
-                    assert_eq!(base, self.1);
-                    for r in shard.iter() {
-                        self.0.push(r.to_owned());
-                    }
-                    self.1 = base + shard.len();
+                    assert_eq!(base, self.0.len());
+                    self.0.extend_from(shard, 0..shard.len());
                     Ok(())
                 }
             }
-            let mut sink = Collect(&mut streamed, 0);
+            let mut sink = Collect(&mut streamed);
             let entities =
                 simulate_streamed(&cfg, plan.shard_rows(), &mut sink).expect("infallible sink");
             assert!(entities.instances.is_empty(), "entities carry no rows");
             assert_eq!(entities.batches, monolithic.batches);
             assert_eq!(entities.workers, monolithic.workers);
             assert_eq!(entities.task_types, monolithic.task_types);
-            assert_eq!(streamed.concat(), monolithic.instances, "shards={shards}");
+            assert_eq!(streamed, monolithic.instances, "shards={shards}");
         }
     }
 

@@ -4,14 +4,54 @@
 //! scalars, length-prefixed byte strings, length-prefixed homogeneous
 //! arrays of scalars, and the payload checksum. [`ByteWriter`] and
 //! [`ByteReader`] implement those shapes symmetrically; the section codecs
-//! in [`crate::codec`] never touch raw bytes directly.
+//! in [`crate::codec`] never touch raw bytes directly. The fixed file
+//! header has one writer (`header`) and one parser (`read_header`),
+//! shared by the in-memory and streaming encoders and decoders.
 //!
 //! The reader is written for the hostile-input case: every read is
 //! bounds-checked and returns [`SnapshotError::Truncated`] instead of
 //! panicking, because a corrupt or short file must fall back to a fresh
 //! simulation, never abort the process.
 
-use crate::SnapshotError;
+use crate::{SnapshotError, FORMAT_VERSION, MAGIC};
+
+/// Bytes of the fixed file header in front of the meta payload.
+pub(crate) const HEADER_LEN: usize = 40;
+
+/// The file header for `meta`: magic, format version, reserved flags (0),
+/// config fingerprint, meta payload length and meta payload checksum.
+pub(crate) fn header(fingerprint: u64, meta: &[u8]) -> [u8; HEADER_LEN] {
+    let mut out = [0u8; HEADER_LEN];
+    out[..8].copy_from_slice(&MAGIC);
+    out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out[16..24].copy_from_slice(&fingerprint.to_le_bytes());
+    out[24..32].copy_from_slice(&(meta.len() as u64).to_le_bytes());
+    out[32..40].copy_from_slice(&checksum(meta).to_le_bytes());
+    out
+}
+
+/// Parses the header at the start of `bytes`, checking in order magic,
+/// format version and `fingerprint`, and returns the meta payload's
+/// length and stored checksum. Input that ends inside the header fails
+/// as [`SnapshotError::Truncated`] at the first field it cuts.
+pub(crate) fn read_header(bytes: &[u8], fingerprint: u64) -> Result<(u64, u64), SnapshotError> {
+    let mut r = ByteReader::new(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = r.u32()?;
+    if version != FORMAT_VERSION {
+        return Err(SnapshotError::VersionMismatch { found: version });
+    }
+    let _flags = r.u32()?;
+    let found = r.u64()?;
+    if found != fingerprint {
+        return Err(SnapshotError::FingerprintMismatch { found, expected: fingerprint });
+    }
+    let len = r.u64()?;
+    let sum = r.u64()?;
+    Ok((len, sum))
+}
 
 /// Appends little-endian values to a growing byte buffer.
 #[derive(Debug, Default)]

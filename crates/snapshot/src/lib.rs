@@ -237,13 +237,8 @@ pub fn encode_sharded(snapshot: &Snapshot, fingerprint: u64, shards: usize) -> V
         snapshot.dataset.time_max(),
     );
     let total: usize = sections.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(40 + meta.len() + total);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-    out.extend_from_slice(&format::checksum(&meta).to_le_bytes());
+    let mut out = Vec::with_capacity(format::HEADER_LEN + meta.len() + total);
+    out.extend_from_slice(&format::header(fingerprint, &meta));
     out.extend_from_slice(&meta);
     for s in &sections {
         out.extend_from_slice(s);
@@ -259,25 +254,9 @@ pub fn encode_sharded(snapshot: &Snapshot, fingerprint: u64, shards: usize) -> V
 /// [`ShardedSnapshotReader`] instead — this entry point requires the whole
 /// file in memory and materializes every shard.
 pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<Snapshot, SnapshotError> {
-    let mut r = format::ByteReader::new(bytes);
-    if r.take(8).map_err(|_| SnapshotError::Truncated)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::VersionMismatch { found: version });
-    }
-    let _flags = r.u32()?;
-    let found = r.u64()?;
-    if found != expected_fingerprint {
-        return Err(SnapshotError::FingerprintMismatch { found, expected: expected_fingerprint });
-    }
-    let payload_len = r.u64()? as usize;
-    let stored_sum = r.u64()?;
-    if r.remaining() < payload_len {
-        return Err(SnapshotError::Truncated);
-    }
-    let meta_bytes = r.take(payload_len)?;
+    let (payload_len, stored_sum) = format::read_header(bytes, expected_fingerprint)?;
+    let mut r = format::ByteReader::new(&bytes[format::HEADER_LEN..]);
+    let meta_bytes = r.take(payload_len as usize)?;
     if format::checksum(meta_bytes) != stored_sum {
         return Err(SnapshotError::ChecksumMismatch);
     }

@@ -21,8 +21,8 @@ use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::query::ScanPass;
 use crowd_core::time::Timestamp;
 
-use crate::format::{checksum, ByteReader};
-use crate::{codec, Derived, Snapshot, SnapshotError, FORMAT_VERSION, MAGIC};
+use crate::format::{checksum, read_header, HEADER_LEN};
+use crate::{codec, Derived, Snapshot, SnapshotError};
 
 /// Location and integrity record of one shard's instance section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,38 +180,21 @@ impl ShardedSnapshotReader {
     ) -> Result<ShardedSnapshotReader, SnapshotError> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        let mut header = [0u8; 40];
+        let mut header = [0u8; HEADER_LEN];
         read_exact_or_truncated(&mut file, &mut header)?;
-        let mut r = ByteReader::new(&header);
-        if r.take(8).expect("header buffered") != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.u32().expect("header buffered");
-        if version != FORMAT_VERSION {
-            return Err(SnapshotError::VersionMismatch { found: version });
-        }
-        let _flags = r.u32().expect("header buffered");
-        let found = r.u64().expect("header buffered");
-        if found != expected_fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                found,
-                expected: expected_fingerprint,
-            });
-        }
-        let payload_len = r.u64().expect("header buffered");
-        let stored_sum = r.u64().expect("header buffered");
+        let (payload_len, stored_sum) = read_header(&header, expected_fingerprint)?;
         // Bound the meta allocation by the actual file size before trusting
         // the header's length field.
-        if 40 + payload_len > file_len {
+        if payload_len > file_len.saturating_sub(HEADER_LEN as u64) {
             return Err(SnapshotError::Truncated);
         }
+        let sections_start = HEADER_LEN as u64 + payload_len;
         let mut meta = vec![0u8; payload_len as usize];
         read_exact_or_truncated(&mut file, &mut meta)?;
         if checksum(&meta) != stored_sum {
             return Err(SnapshotError::ChecksumMismatch);
         }
         let decoded = codec::decode_meta(&meta)?;
-        let sections_start = 40 + payload_len;
         match (sections_start + decoded.directory.sections_len()).cmp(&file_len) {
             std::cmp::Ordering::Greater => return Err(SnapshotError::Truncated),
             std::cmp::Ordering::Less => return Err(SnapshotError::Corrupt("trailing bytes")),

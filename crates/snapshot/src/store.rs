@@ -78,12 +78,13 @@ impl SnapshotStore {
         self
     }
 
-    /// Sets how many instance shards [`save`](Self::save) partitions a
-    /// snapshot into (the `--shards` knob). A pure write-*layout* choice:
-    /// the fingerprint, the decoded contents, and every scan result are
+    /// Sets how many instance shards [`save`](Self::save) and
+    /// [`open_writer`](Self::open_writer) partition a snapshot into (the
+    /// `--shards` knob). A pure file-*layout* choice: the fingerprint, the
+    /// decoded contents, the build path, and every scan result are
     /// bit-identical at any shard count — only the granularity of partial
-    /// reads and corruption isolation changes. Readers stream whatever
-    /// layout is on disk.
+    /// reads, corruption isolation, and how many rows one streamed section
+    /// holds change. Readers stream whatever layout is on disk.
     pub fn with_shards(mut self, shards: usize) -> SnapshotStore {
         self.shards = shards.max(1);
         self
@@ -92,13 +93,6 @@ impl SnapshotStore {
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The configured shard count (see [`with_shards`](Self::with_shards)).
-    /// The warm-start paths branch on `shards() > 1` to pick the streaming
-    /// build over the monolithic one.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The file a config maps to.

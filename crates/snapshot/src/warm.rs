@@ -1,45 +1,39 @@
 //! Warm-start entry points: `Study` construction with read-on-hit /
 //! write-on-miss snapshot caching.
 //!
-//! The decision tree, in full:
+//! One decision tree serves every shard count; the store's shard count
+//! ([`SnapshotStore::with_shards`]) only sets the file layout:
 //!
 //! * no store → plain cold build (simulate + cluster + enrich), nothing
 //!   touched on disk;
-//! * snapshot loads and its derived artifacts match the requested cluster
-//!   parameters → rebuild the `Study` from the persisted enrichment and go
-//!   straight to the fused scan: no simulation, no shingling, no LSH, no
-//!   feature extraction;
-//! * snapshot loads but was derived with *different* cluster parameters →
-//!   reuse the dataset (simulation still skipped), recompute clustering and
-//!   enrichment, rewrite the snapshot with the new artifacts;
-//! * snapshot missing or fails **any** integrity check → silently fall
-//!   back to a fresh simulation and overwrite the snapshot with a valid
-//!   one. Correctness never depends on the cache; a corrupt file costs one
-//!   cold run, not a wrong answer.
-//!
-//! Save errors are deliberately swallowed too (a read-only cache directory
-//! degrades to cold-every-time, it does not break the run).
-//!
-//! ## Streaming mode (`shards > 1`)
-//!
-//! When the store is configured with more than one shard
-//! ([`SnapshotStore::with_shards`]), both halves of the tree switch to the
-//! bounded-memory pipeline (DESIGN.md §16) with the **same** decision
-//! structure and bit-identical results:
-//!
-//! * cold → [`crowd_sim::prepare_streamed`] builds entities first, then
-//!   the instance stream is forked shard-by-shard into a
+//! * snapshot opens and its derived artifacts match the requested cluster
+//!   parameters → only the meta payload (entities + persisted enrichment)
+//!   loads. The instance rows stay on disk and the `Study` is
+//!   *columns-optional*: its fused aggregates stream back one shard
+//!   section at a time through a
+//!   [`ShardedSnapshotReader`](crate::ShardedSnapshotReader) on first use.
+//!   No simulation, shingling, LSH or feature extraction runs;
+//! * snapshot opens but was derived with *different* cluster parameters →
+//!   load the dataset (simulation still skipped), recompute clustering
+//!   and enrichment, rewrite the snapshot with the new artifacts;
+//! * snapshot missing or fails **any** integrity check → streaming cold
+//!   build (DESIGN.md §16): [`crowd_sim::prepare_streamed`] builds
+//!   entities first, then each finished shard of rows is forked into a
 //!   [`SnapshotWriter`](crate::SnapshotWriter) and a
 //!   [`StreamingEnricher`], so the full instance table never exists in
 //!   memory at once;
-//! * warm full hit → only the meta payload (entities + enrichment) loads;
-//!   the instance shards stay on disk, and the `Study` is *columns
-//!   optional* — its fused aggregates stream back through a
-//!   [`ShardedSnapshotReader`](crate::ShardedSnapshotReader) on first use;
-//! * every failure (unwritable store, mid-build IO error, corrupt or
-//!   mismatched snapshot) falls back to the monolithic path and counts a
-//!   swallowed save where one was skipped.
+//! * a shard section damaged after its meta verified is caught by its own
+//!   checksum when the fused scan streams it; the scan then re-simulates
+//!   and republishes a valid snapshot.
+//!
+//! Correctness never depends on the cache: a corrupt file costs one cold
+//! run, not a wrong answer. Save errors are deliberately swallowed too (a
+//! read-only cache directory degrades to cold-every-time, it does not
+//! break the run), but each one is counted
+//! ([`SnapshotStore::swallowed_saves`]); an unwritable store or an IO
+//! failure mid-build falls back to the no-store build.
 
+use crowd_analytics::fused::Fused;
 use crowd_analytics::study::{enrich_batches, sampled_docs, StreamingEnricher};
 use crowd_analytics::Study;
 use crowd_cluster::{ClusterParams, Clusterer, Clustering};
@@ -67,38 +61,18 @@ pub fn study_with_params(
     let Some(store) = store else {
         return Study::with_cluster_params(simulate(cfg), params);
     };
-    if store.shards() > 1 {
-        return study_streamed(cfg, params, store);
-    }
-    match store.load(cfg) {
-        Ok(Snapshot { dataset, derived }) => match derived {
-            // Full hit: dataset + artifacts for exactly these parameters.
-            Some(d) if d.params == params => Study::from_enrichment(dataset, d.metrics),
-            // Dataset hit, derived mismatch (other params, or absent):
-            // skip simulation, recompute the artifacts, rewrite.
-            _ => build_and_persist(cfg, params, store, dataset),
-        },
-        // Miss or integrity failure: fresh simulate, rewrite.
-        Err(_) => build_and_persist(cfg, params, store, simulate(cfg)),
-    }
-}
-
-/// The `shards > 1` mirror of [`study_with_params`]: same decision tree,
-/// but neither the warm-hit nor the cold-miss arm ever materializes the
-/// full instance table.
-fn study_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore) -> Study {
     if let Ok(reader) = store.open_reader(cfg) {
-        let n_rows = reader.directory().n_rows() as usize;
         if reader.derived().map(|d| d.params == params) == Some(true) {
             // Full hit: entities + persisted enrichment only. The rows stay
             // on disk; the fused scan streams them back on first use.
+            let n_rows = reader.directory().n_rows() as usize;
             let (entities, derived, _) = reader.into_meta();
             let d = derived.expect("params just matched on this derived section");
             return Study::from_enrichment_streamed(
                 entities,
                 d.metrics,
                 n_rows,
-                fused_source(cfg, store),
+                fused_source(cfg, params, store),
             );
         }
         // Derived mismatch: the dataset is still good, so load it (one
@@ -108,6 +82,7 @@ fn study_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore)
             return build_and_persist(cfg, params, store, snap.dataset);
         }
     }
+    // Miss or integrity failure: streamed cold build, rewrite.
     build_streamed(cfg, params, store)
 }
 
@@ -121,7 +96,7 @@ fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore)
     let mut writer = match store.open_writer(cfg, sim.planned_rows()) {
         Ok(w) => w,
         Err(_) => {
-            // Nowhere to stream shards to: degrade to the monolithic cold
+            // Nowhere to stream shards to: degrade to the no-store cold
             // build, counted like every other swallowed save.
             store.note_swallowed_save();
             return Study::with_cluster_params(simulate(cfg), params);
@@ -142,8 +117,8 @@ fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore)
         Ok(entities) => entities,
         Err(_) => {
             // Disk died mid-build. The writer's temps are cleaned up and
-            // the run completes monolithically — correctness never depends
-            // on the cache.
+            // the run completes without the store — correctness never
+            // depends on the cache.
             writer.abort();
             store.note_swallowed_save();
             return Study::with_clustering(simulate(cfg), clustering);
@@ -164,7 +139,7 @@ fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore)
             entities,
             derived.metrics,
             n_rows,
-            fused_source(cfg, store),
+            fused_source(cfg, params, store),
         ),
         Err(_) => {
             // The shards never published, so the columns-optional study
@@ -198,19 +173,18 @@ impl ShardSink for BuildSink<'_> {
 /// The fused provider a columns-optional `Study` defers to: re-open the
 /// snapshot and stream the shard sections through the scan. If the file
 /// has been damaged or removed since the study was built, fall back to a
-/// full re-simulation — one slow (but correct) answer, never a wrong one.
+/// full re-simulation that also republishes a valid snapshot — one slow
+/// (but correct) answer, never a wrong one, and the next warm start reads
+/// a sound file again.
 fn fused_source(
     cfg: &SimConfig,
+    params: ClusterParams,
     store: &SnapshotStore,
-) -> impl Fn(&Study) -> crowd_analytics::fused::Fused + Send + Sync + 'static {
+) -> impl Fn(&Study) -> Fused + Send + Sync + 'static {
     let (cfg, store) = (cfg.clone(), store.clone());
-    move |study| match store.open_reader(&cfg).and_then(|mut r| r.fused()) {
+    move |_| match store.open_reader(&cfg).and_then(|mut r| r.fused()) {
         Ok(fused) => fused,
-        Err(_) => {
-            let metrics: Vec<_> = study.enriched_batches().cloned().collect();
-            let full = Study::from_enrichment(simulate(&cfg), metrics);
-            crowd_analytics::fused::compute(&full)
-        }
+        Err(_) => build_and_persist(&cfg, params, &store, simulate(&cfg)).fused().clone(),
     }
 }
 
@@ -271,98 +245,85 @@ mod tests {
         SnapshotStore::new(dir)
     }
 
+    /// Cold build and warm hit agree bitwise with a never-cached run on
+    /// every derived quantity at any shard count, neither holds the
+    /// instance table, and the streamed file is byte-identical to an
+    /// in-memory encoding at the same shard count.
     #[test]
     fn warm_equals_cold_bitwise() {
-        let cfg = SimConfig::tiny(21);
+        let cfg = SimConfig::tiny(25);
         let baseline = Study::new(simulate(&cfg));
+        let metrics = |s: &Study| -> Vec<_> { s.enriched_batches().cloned().collect() };
+        let snap = Snapshot {
+            dataset: simulate(&cfg),
+            derived: Some(compute_derived(&simulate(&cfg), ClusterParams::default())),
+        };
+        for shards in [1, 4] {
+            let store = temp_store(&format!("eq-{shards}")).with_shards(shards);
+            let cold = study_from_config(&cfg, Some(&store)); // miss: streams build + write
+            assert!(store.path_for(&cfg).exists(), "miss wrote a snapshot");
+            assert_eq!(store.swallowed_saves(), 0, "nothing degraded");
+            let warm = study_from_config(&cfg, Some(&store)); // hit: meta-only load
 
-        let store = temp_store("eq");
-        let cold = study_from_config(&cfg, Some(&store)); // miss: writes
-        assert!(store.path_for(&cfg).exists(), "miss wrote a snapshot");
-        let warm = study_from_config(&cfg, Some(&store)); // hit: reads
-
-        for s in [&cold, &warm] {
-            assert_eq!(s.dataset().instances, baseline.dataset().instances);
-            assert_eq!(s.clusters().len(), baseline.clusters().len());
-            let labels =
-                |st: &Study| -> Vec<u32> { st.enriched_batches().map(|m| m.cluster).collect() };
-            assert_eq!(labels(s), labels(&baseline));
+            for s in [&cold, &warm] {
+                assert!(s.dataset().instances.is_empty(), "store-backed studies keep rows on disk");
+                assert_eq!(s.n_instances(), baseline.n_instances());
+                assert_eq!(metrics(s), metrics(&baseline));
+                assert_eq!(s.clusters().len(), baseline.clusters().len());
+                assert_eq!(s.fused(), baseline.fused(), "fused scan is bit-identical");
+            }
+            let streamed_bytes = std::fs::read(store.path_for(&cfg)).unwrap();
+            let encoded = crate::encode_sharded(&snap, crate::fingerprint(&cfg), shards);
+            assert_eq!(streamed_bytes, encoded, "shards={shards}");
+            let _ = std::fs::remove_dir_all(store.dir());
         }
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn param_change_reuses_dataset_and_rewrites() {
         let cfg = SimConfig::tiny(22);
-        let store = temp_store("params");
-        let _ = study_from_config(&cfg, Some(&store));
-
         // Different clustering parameters: the dataset is reused, the
-        // derived section is recomputed and rewritten.
+        // derived section is recomputed and rewritten, and the result
+        // matches a cold run at those parameters.
         let loose = ClusterParams { threshold: 0.3, ..ClusterParams::default() };
-        let relaxed = study_with_params(&cfg, loose, Some(&store));
-        let reloaded = store.load(&cfg).expect("rewritten snapshot loads");
-        let d = reloaded.derived.expect("derived present");
-        assert_eq!(d.params, loose);
-        assert_eq!(d.n_clusters, relaxed.clusters().len());
-        // And it must match a cold run at those parameters.
         let cold = Study::with_cluster_params(simulate(&cfg), loose);
-        assert_eq!(relaxed.clusters().len(), cold.clusters().len());
-        let _ = std::fs::remove_dir_all(store.dir());
+        for shards in [1, 4] {
+            let store = temp_store(&format!("params-{shards}")).with_shards(shards);
+            let _ = study_from_config(&cfg, Some(&store));
+            let relaxed = study_with_params(&cfg, loose, Some(&store));
+            let reloaded = store.load(&cfg).expect("rewritten snapshot loads");
+            let d = reloaded.derived.expect("derived present");
+            assert_eq!(d.params, loose);
+            assert_eq!(d.n_clusters, relaxed.clusters().len());
+            assert_eq!(relaxed.clusters().len(), cold.clusters().len(), "shards={shards}");
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
     }
 
     #[test]
     fn unwritable_store_degrades_to_cold_and_counts_the_swallow() {
-        let blocker = std::env::temp_dir()
-            .join(format!("crowd-snapshot-warm-blocker-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let store = SnapshotStore::new(blocker.join("store"));
         let cfg = SimConfig::tiny(24);
-        let study = study_from_config(&cfg, Some(&store));
-        // Correctness never depends on the cache …
-        assert_eq!(study.dataset().instances, simulate(&cfg).instances);
-        // … but the degradation is counted, not silent.
-        assert_eq!(store.swallowed_saves(), 1);
-        let _ = std::fs::remove_file(&blocker);
-    }
-
-    /// Streamed cold build, streamed warm hit, and the monolithic cold
-    /// build agree bitwise on every derived quantity, and neither streamed
-    /// study ever held the instance table.
-    #[test]
-    fn streamed_cold_and_warm_match_monolithic_bitwise() {
-        let cfg = SimConfig::tiny(25);
-        let baseline = Study::new(simulate(&cfg));
-        let metrics = |s: &Study| -> Vec<_> { s.enriched_batches().cloned().collect() };
-
-        let store = temp_store("streamed-eq").with_shards(4);
-        let cold = study_from_config(&cfg, Some(&store)); // miss: streams build + write
-        assert!(store.path_for(&cfg).exists(), "streamed miss wrote a snapshot");
-        assert_eq!(store.swallowed_saves(), 0, "nothing degraded");
-        let warm = study_from_config(&cfg, Some(&store)); // hit: meta-only load
-
-        for s in [&cold, &warm] {
-            assert!(!s.columns_resident(), "streamed studies are columns-optional");
-            assert_eq!(s.n_instances(), baseline.n_instances());
-            assert_eq!(metrics(s), metrics(&baseline));
-            assert_eq!(s.fused(), baseline.fused(), "fused scan is bit-identical");
+        let rows = simulate(&cfg).instances;
+        for shards in [1, 4] {
+            let blocker = std::env::temp_dir()
+                .join(format!("crowd-snapshot-warm-blocker-{shards}-{}", std::process::id()));
+            std::fs::write(&blocker, b"not a directory").unwrap();
+            let store = SnapshotStore::new(blocker.join("store")).with_shards(shards);
+            let study = study_from_config(&cfg, Some(&store));
+            // Correctness never depends on the cache …
+            assert_eq!(study.dataset().instances, rows);
+            // … but the degradation is counted, not silent.
+            assert_eq!(store.swallowed_saves(), 1, "shards={shards}");
+            let _ = std::fs::remove_file(&blocker);
         }
-        // The streamed snapshot is byte-identical to a monolithic save at
-        // the same shard count.
-        let streamed_bytes = std::fs::read(store.path_for(&cfg)).unwrap();
-        let snap = Snapshot {
-            dataset: simulate(&cfg),
-            derived: Some(compute_derived(&simulate(&cfg), ClusterParams::default())),
-        };
-        let monolithic = crate::encode_sharded(&snap, crate::fingerprint(&cfg), 4);
-        assert_eq!(streamed_bytes, monolithic);
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     /// A corrupt snapshot under the final name is refused by the open
-    /// checks and the streamed warm start rebuilds (and rewrites) cleanly.
+    /// checks and the warm start rebuilds (and rewrites) cleanly; a shard
+    /// damaged behind a valid meta is caught by the fused scan, which
+    /// answers from a re-simulation and republishes the file.
     #[test]
-    fn streamed_warm_start_survives_a_corrupt_snapshot() {
+    fn warm_start_survives_a_corrupt_snapshot() {
         let cfg = SimConfig::tiny(26);
         let store = temp_store("streamed-corrupt").with_shards(3);
         let _ = study_from_config(&cfg, Some(&store));
@@ -390,38 +351,7 @@ mod tests {
         // The warm hit loaded only meta (valid), so the corruption
         // surfaces inside `fused_source`, which re-simulates.
         assert_eq!(warm.fused(), Study::new(simulate(&cfg)).fused());
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    /// `shards > 1` with nowhere to write degrades to the monolithic cold
-    /// build and counts the swallow — same contract as the shards=1 path.
-    #[test]
-    fn streamed_unwritable_store_degrades_to_cold() {
-        let blocker = std::env::temp_dir()
-            .join(format!("crowd-snapshot-warm-sblocker-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let store = SnapshotStore::new(blocker.join("store")).with_shards(8);
-        let cfg = SimConfig::tiny(27);
-        let study = study_from_config(&cfg, Some(&store));
-        assert!(study.columns_resident(), "fallback is the monolithic build");
-        assert_eq!(study.dataset().instances, simulate(&cfg).instances);
-        assert_eq!(store.swallowed_saves(), 1);
-        let _ = std::fs::remove_file(&blocker);
-    }
-
-    /// Changing cluster parameters against a streamed snapshot reuses the
-    /// on-disk dataset and rewrites the derived section, like shards=1.
-    #[test]
-    fn streamed_param_change_reuses_dataset_and_rewrites() {
-        let cfg = SimConfig::tiny(28);
-        let store = temp_store("streamed-params").with_shards(4);
-        let _ = study_from_config(&cfg, Some(&store));
-
-        let loose = ClusterParams { threshold: 0.3, ..ClusterParams::default() };
-        let relaxed = study_with_params(&cfg, loose, Some(&store));
-        let d = store.load(&cfg).expect("rewritten").derived.expect("derived present");
-        assert_eq!(d.params, loose);
-        assert_eq!(d.n_clusters, relaxed.clusters().len());
+        assert!(store.load(&cfg).is_ok(), "the fused fallback republished the snapshot");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

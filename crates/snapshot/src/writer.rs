@@ -37,7 +37,7 @@ use crowd_core::shard::ShardSink;
 use crowd_core::time::Timestamp;
 
 use crate::sharded::{ShardDirectory, ShardSectionInfo};
-use crate::{codec, format, Derived, SnapshotError, FORMAT_VERSION, MAGIC};
+use crate::{codec, format, Derived, SnapshotError};
 
 /// Streams per-shard instance sections to disk as they complete, then
 /// writes the meta payload + shard directory last and publishes the file
@@ -142,12 +142,7 @@ impl SnapshotWriter {
         let tmp = sibling_temp(&self.final_path, "assemble");
         let result = (|| -> Result<(), SnapshotError> {
             let mut out = BufWriter::new(File::create(&tmp)?);
-            out.write_all(&MAGIC)?;
-            out.write_all(&FORMAT_VERSION.to_le_bytes())?;
-            out.write_all(&0u32.to_le_bytes())?; // flags, reserved
-            out.write_all(&self.fingerprint.to_le_bytes())?;
-            out.write_all(&(meta.len() as u64).to_le_bytes())?;
-            out.write_all(&format::checksum(&meta).to_le_bytes())?;
+            out.write_all(&format::header(self.fingerprint, &meta))?;
             out.write_all(&meta)?;
             std::io::copy(&mut File::open(&self.sections_path)?, &mut out)?;
             out.flush()?;
@@ -211,7 +206,7 @@ fn sibling_temp(final_path: &Path, tag: &str) -> PathBuf {
 mod tests {
     use super::*;
     use crate::{encode_sharded, fingerprint, Snapshot, SnapshotStore};
-    use crowd_core::shard::ShardedColumns;
+    use crowd_core::ShardPlan;
     use crowd_sim::SimConfig;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -238,12 +233,11 @@ mod tests {
             );
 
             let dir = temp_dir(&format!("bytes-{shards}"));
-            let sharded = ShardedColumns::split(ds.instances.clone(), shards);
+            let plan = ShardPlan::new(ds.instances.len(), shards);
             let mut writer =
-                SnapshotWriter::create(dir.join("snap-test.bin"), fp, sharded.shard_rows())
-                    .unwrap();
-            for (base, shard) in sharded.iter_shards() {
-                writer.flush(base, shard).unwrap();
+                SnapshotWriter::create(dir.join("snap-test.bin"), fp, plan.shard_rows()).unwrap();
+            for range in plan.ranges() {
+                writer.flush(range.start, &ds.instances.clone_range(range)).unwrap();
             }
             let mut entities = ds.clone();
             entities.instances = crowd_core::dataset::InstanceColumns::new();
@@ -279,7 +273,7 @@ mod tests {
         let ds = crowd_sim::simulate(&cfg);
         let store = SnapshotStore::new(&dir);
         let final_path = store.path_for(&cfg);
-        let shard_rows = crowd_core::ShardPlan::single(ds.instances.len()).shard_rows();
+        let shard_rows = ShardPlan::new(ds.instances.len(), 1).shard_rows();
         let mut writer =
             SnapshotWriter::create(&final_path, fingerprint(&cfg), shard_rows).unwrap();
         writer.flush(0, &ds.instances).unwrap();

@@ -19,7 +19,8 @@
 //!   terms are non-negative, so the sums are well-conditioned and the
 //!   bound is tight).
 
-use crowd_analytics::fused::Fused;
+use crowd_analytics::fused::{compute_streamed, Fused};
+use crowd_analytics::study::BatchMetrics;
 use crowd_analytics::Study;
 use crowd_core::prelude::*;
 
@@ -168,16 +169,31 @@ pub fn fused_with_threads(ds: &Dataset, threads: usize) -> Fused {
     pool.install(|| Study::new(ds.clone()).fused().clone())
 }
 
-/// Runs the fused engine on a clone of `ds` with its instance table
-/// partitioned into (at most) `shards` shards, inside a rayon pool of
-/// `threads` workers. The shard count is a layout knob only: the result
-/// must be bit-identical to [`fused_with_threads`] for any combination.
+/// Runs the fused engine over `ds` the way a snapshot-backed study does:
+/// the instance table is cut into (at most) `shards` chunk-aligned
+/// [`ShardPlan`] pieces that stream through [`compute_streamed`] against
+/// an entity-only context, inside a rayon pool of `threads` workers. The
+/// shard count is a layout knob only: the result must be bit-identical to
+/// [`fused_with_threads`] for any combination.
 pub fn fused_with_shards(ds: &Dataset, threads: usize, shards: usize) -> Fused {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("building a local rayon pool");
-    pool.install(|| Study::new(ds.clone()).with_shards(shards).fused().clone())
+    pool.install(|| {
+        let study = Study::new(ds.clone());
+        let metrics: Vec<BatchMetrics> = study.enriched_batches().cloned().collect();
+        let mut entities = ds.clone();
+        entities.instances = InstanceColumns::new();
+        let plan = ShardPlan::new(ds.instances.len(), shards);
+        let pieces = plan
+            .ranges()
+            .map(|r| Ok::<_, std::convert::Infallible>((r.start, ds.instances.clone_range(r))));
+        match compute_streamed(&entities, &metrics, ds.time_max(), pieces) {
+            Ok(fused) => fused,
+            Err(never) => match never {},
+        }
+    })
 }
 
 /// The differential test proper: the fused engine at 1 and 4 threads must

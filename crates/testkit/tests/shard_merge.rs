@@ -1,14 +1,13 @@
 //! Shard-merge differential: partitioning the instance table is a layout
-//! knob, never a semantics knob. Every sharded entry point of the scan
-//! engine — [`ScanPass::run_plan`], [`ScanPass::run_sharded`],
-//! [`ScanPass::run_stream`] — and the analytics-level `--shards` study
-//! must agree bit-for-bit with the monolithic scan, over the adversarial
-//! edge-case catalog and over simulated marketplaces large enough to
-//! split into several real shards.
+//! knob, never a semantics knob. The streamed scan
+//! ([`ScanPass::run_stream`]) and the analytics-level fused scan over
+//! streamed shards must agree bit-for-bit with the monolithic scan, over
+//! the adversarial edge-case catalog and over simulated marketplaces large
+//! enough to split into several real shards.
 
 use crowd_core::dataset::{Dataset, InstanceRef};
 use crowd_core::id::InstanceId;
-use crowd_core::{Accumulator, ScanPass, ShardPlan, ShardedColumns};
+use crowd_core::{Accumulator, ScanPass, ShardPlan};
 use crowd_sim::{simulate, SimConfig};
 use crowd_testkit::differential::{
     compare_fused, fused_with_shards, fused_with_threads, FloatMode,
@@ -59,32 +58,17 @@ impl Accumulator for Probe {
     }
 }
 
-/// Runs the probe through all four scan entry points at `shards` shards
-/// and asserts each matches the monolithic reference bitwise.
+/// Runs the probe through both scan entry points at `shards` shards and
+/// asserts the streamed scan matches the monolithic reference bitwise.
 fn assert_scan_paths_agree(name: &str, ds: &Dataset, shards: usize) {
     let proto = Probe { n: 0, trust_sum: 0.0, pos_hash: 0 };
     let reference = ScanPass::run(ds, &proto);
 
     let plan = ShardPlan::new(ds.instances.len(), shards);
-    assert_eq!(
-        reference,
-        ScanPass::run_plan(ds, &plan, &proto),
-        "{name}: run_plan diverges at {shards} shards"
-    );
-
-    let sharded = ShardedColumns::split(ds.instances.clone(), shards);
-    assert_eq!(
-        reference,
-        ScanPass::run_sharded(ds, &sharded, &proto),
-        "{name}: run_sharded diverges at {shards} shards"
-    );
-
-    let stream = sharded
-        .iter_shards()
-        .map(|(base, cols)| Ok::<_, std::convert::Infallible>((base, cols.clone())))
-        .collect::<Vec<_>>();
-    let streamed = ScanPass::run_stream(ds, &proto, stream.into_iter())
-        .expect("infallible stream cannot fail");
+    let stream = plan
+        .ranges()
+        .map(|r| Ok::<_, std::convert::Infallible>((r.start, ds.instances.clone_range(r))));
+    let streamed = ScanPass::run_stream(ds, &proto, stream).expect("infallible stream cannot fail");
     assert_eq!(reference, streamed, "{name}: run_stream diverges at {shards} shards");
 }
 

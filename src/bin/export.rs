@@ -9,10 +9,11 @@
 //!
 //! With `--input-dir`, the dataset is loaded from a previously exported
 //! directory through the resilient ingest path instead of simulated.
-//! With `--snapshot-dir` and `--shards N > 1`, the build streams
-//! (DESIGN.md §16): cold runs flush each finished shard to the snapshot
-//! as it completes, warm runs load entities + enrichment only, and the
-//! CSVs are byte-identical either way (`tests/streamed_equivalence.rs`).
+//! With `--snapshot-dir`, the build streams (DESIGN.md §16): cold runs
+//! flush each finished shard to the snapshot as it completes, warm runs
+//! load entities + enrichment only, and the CSVs are byte-identical
+//! either way (`tests/streamed_equivalence.rs`). `--shards N` only sets
+//! how many sections the snapshot file splits the instance table into.
 //!
 //! Files written into `DIR` (default `./export`):
 //! `weekly.csv` (Figs 1/2/4/5 series), `weekday.csv` (Fig 3),

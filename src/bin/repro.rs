@@ -107,14 +107,14 @@ fn main() {
             "  --input-dir DIR     load an exported dataset (resilient ingest) instead of simulating"
         );
         println!(
-            "  --shards N          partition the instance table into N shards \
-             (scan + snapshot layout; results are bit-identical).\n\
-             \x20                    With N > 1 the whole build streams: cold runs flush \
-             each finished\n\
-             \x20                    shard to the snapshot as it completes, warm runs load \
-             entities +\n\
-             \x20                    enrichment only, and no path holds more than ~one \
-             shard of rows."
+            "  --shards N          split the snapshot file's instance table into N sections \
+             (file layout only;\n\
+             \x20                     results are bit-identical). Every snapshot-backed build \
+             streams: cold runs\n\
+             \x20                     flush each finished section to the snapshot as it \
+             completes, warm runs load\n\
+             \x20                     entities + enrichment only, and no path holds more than \
+             ~one section of rows."
         );
         println!("targets: all {}", ALL_TARGETS.join(" "));
         return;
@@ -124,8 +124,8 @@ fn main() {
     let scale = opts.scale;
 
     let study = opts.build_study().unwrap_or_else(|e| die(&e));
-    // `n_instances`, not `dataset().instances.len()`: a streamed (`--shards`
-    // > 1) study keeps the rows on disk and the resident table is empty.
+    // `n_instances`, not `dataset().instances.len()`: a snapshot-backed
+    // study keeps the rows on disk and the resident table is empty.
     eprintln!(
         "enriched: {} instances, {} sampled batches, {} clusters\n",
         study.n_instances(),

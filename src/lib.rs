@@ -94,9 +94,11 @@ pub mod cli {
         /// Load the dataset from a previously exported directory (via the
         /// resilient ingest path) instead of simulating.
         pub input_dir: Option<PathBuf>,
-        /// Shards the instance table is partitioned into — for the fused
-        /// scan and for the snapshot file layout. Bit-invisible to every
-        /// result; bounds how much of the table warm starts must touch.
+        /// Shards the snapshot file partitions the instance table into —
+        /// purely the file layout. Bit-invisible to every result and to the
+        /// build path; sets how many rows one streamed section holds and
+        /// the granularity of corruption isolation. Ignored without a
+        /// snapshot store.
         pub shards: usize,
     }
 
@@ -225,25 +227,22 @@ pub mod cli {
                     crowd_ingest::ingest_dir(dir, &crowd_ingest::IngestOptions::default())
                         .map_err(|f| f.to_string())?;
                 eprintln!("ingest: {}", ingested.report.summary());
-                return Ok(Study::new(ingested.dataset)
-                    .with_ingest_report(ingested.report)
-                    .with_shards(self.shards));
+                return Ok(Study::new(ingested.dataset).with_ingest_report(ingested.report));
             }
             let store = self.snapshot_store();
             eprintln!(
-                "simulating marketplace (scale {}, seed {}, {} threads{}{}) …",
+                "simulating marketplace (scale {}, seed {}, {} threads{}) …",
                 self.scale,
                 self.seed,
                 rayon::current_num_threads(),
-                if self.shards > 1 { format!(", {} shards", self.shards) } else { String::new() },
                 match &store {
-                    Some(s) => format!(", snapshots in {}", s.dir().display()),
+                    Some(s) =>
+                        format!(", snapshots in {} ({} shards)", s.dir().display(), self.shards),
                     None => String::new(),
                 }
             );
             let cfg = crowd_sim::SimConfig::new(self.seed, self.scale);
-            Ok(crowd_snapshot::warm::study_from_config(&cfg, store.as_ref())
-                .with_shards(self.shards))
+            Ok(crowd_snapshot::warm::study_from_config(&cfg, store.as_ref()))
         }
 
         /// Installs the global thread pool when `--threads` was given.

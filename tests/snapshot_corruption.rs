@@ -50,10 +50,13 @@ fn assert_recovers(tag: &str, mutate: impl FnOnce(&mut Vec<u8>), expected: &str)
     };
     assert_eq!(class, expected, "{tag}: wrong failure class ({err})");
 
-    // Silent fallback: same study as a never-cached run.
+    // Silent fallback: same study as a never-cached run. A damaged shard
+    // section behind a valid meta surfaces in the fused scan, which
+    // re-simulates and republishes the file.
     let recovered = warm::study_from_config(&cfg, Some(&store));
-    assert_eq!(recovered.dataset().instances, baseline.dataset().instances, "{tag}");
+    assert_eq!(recovered.n_instances(), baseline.n_instances(), "{tag}");
     assert_eq!(cluster_labels(&recovered), cluster_labels(&baseline), "{tag}");
+    assert_eq!(recovered.fused(), baseline.fused(), "{tag}");
 
     // And the bad file was overwritten with a valid one.
     let reloaded = store.load(&cfg).unwrap_or_else(|e| panic!("{tag}: not rewritten: {e}"));
@@ -149,15 +152,16 @@ fn damaged_shard_fails_independently_and_warm_recovers() {
         other => panic!("load: expected ShardCorrupt {{ shard: 1 }}, got {other:?}"),
     }
 
-    // Warm path at shards > 1 (DESIGN.md §16): header and meta are
-    // intact, so the columns-optional warm hit succeeds without touching
-    // the damaged section. The corruption is caught lazily when the
-    // fused scan streams that shard; the scan falls back to a fresh
-    // simulation, so every analytics result still matches a never-cached
-    // run even though the file itself is left as-is.
+    // Warm path (DESIGN.md §16): header and meta are intact, so the
+    // columns-optional warm hit succeeds without touching the damaged
+    // section. The corruption is caught lazily when the fused scan
+    // streams that shard; the scan falls back to a fresh simulation, so
+    // every analytics result still matches a never-cached run, and the
+    // fallback republishes a valid file.
     let recovered = warm::study_from_config(&cfg, Some(&store));
     assert_eq!(recovered.n_instances(), baseline.dataset().instances.len());
     assert_eq!(cluster_labels(&recovered), cluster_labels(&baseline));
     assert_eq!(recovered.fused(), baseline.fused(), "lazy fallback must match baseline");
+    assert!(store.load(&cfg).is_ok(), "the damaged file was rewritten");
     let _ = std::fs::remove_dir_all(store.dir());
 }
