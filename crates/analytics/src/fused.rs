@@ -7,7 +7,10 @@
 //! per-source, per-week, per-day, per-splice and per-item aggregates in
 //! one pass, and the public functions in [`crate::marketplace`],
 //! [`crate::workers`] and [`crate::design`] *shape* their outputs from the
-//! cached [`Fused`] result (held in a `OnceLock` on [`Study`]).
+//! cached [`Fused`] result (held in a `OnceLock` on [`Study`]). The same
+//! accumulator folds the streamed snapshot scan ([`compute_streamed`])
+//! and the live view ([`crate::view::FusedView`]), so all three paths
+//! produce bit-identical aggregates over the same rows.
 //!
 //! ## Determinism
 //!
@@ -18,6 +21,15 @@
 //! outputs are `BTreeMap`/`BTreeSet`, so shaping iterates in a
 //! process-independent order (a `HashMap`'s random seed must never decide
 //! the order in which floats are added or rows are exported).
+//!
+//! Two rules let the live view finish the aggregates at any prefix of
+//! the rows and match a batch scan over that prefix. Week offsets count
+//! from the first batch week, floored at 0 and never clamped above; the
+//! weekly vectors grow as rows arrive and are padded to the configured
+//! span at the end. Relative task time (`rel_time_sum`) is kept as exact
+//! whole-second sums per `(batch, source)` and divided by the batch
+//! medians once, when the scan finishes, so it does not depend on row
+//! order or chunking either.
 //!
 //! The raw aggregate types here are public so that `crowd-testkit` can
 //! compare the fused engine field-by-field against straight-line oracle
@@ -69,40 +81,8 @@ pub struct WorkerAgg {
     /// `(start, end)` of every instance, in row order (for sessions).
     pub intervals: Vec<(Timestamp, Timestamp)>,
     /// Per-week activity, keyed by week offset from the dataset's first
-    /// week (clamped like the availability figures).
+    /// week (floored at 0 like the availability figures).
     pub weeks: BTreeMap<usize, WeekCell>,
-}
-
-impl WorkerAgg {
-    pub(crate) fn new() -> WorkerAgg {
-        WorkerAgg {
-            tasks: 0,
-            work_secs: 0.0,
-            trust_sum: 0.0,
-            first_day: i64::MAX,
-            last_day: i64::MIN,
-            days: BTreeSet::new(),
-            months: BTreeSet::new(),
-            intervals: Vec::new(),
-            weeks: BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn absorb(&mut self, o: WorkerAgg) {
-        self.tasks += o.tasks;
-        self.work_secs += o.work_secs;
-        self.trust_sum += o.trust_sum;
-        self.first_day = self.first_day.min(o.first_day);
-        self.last_day = self.last_day.max(o.last_day);
-        self.days.extend(o.days);
-        self.months.extend(o.months);
-        self.intervals.extend(o.intervals);
-        for (wk, cell) in o.weeks {
-            let mine = self.weeks.entry(wk).or_default();
-            mine.tasks += cell.tasks;
-            mine.hours += cell.hours;
-        }
-    }
 }
 
 /// Raw per-source aggregates (only sources with ≥ 1 instance appear).
@@ -112,7 +92,9 @@ pub struct SourceAgg {
     pub n_tasks: u64,
     /// Sum of trust scores.
     pub trust_sum: f64,
-    /// Sum of work-time / batch-median-task-time ratios.
+    /// Relative task time: over the sampled batches in ascending batch
+    /// id, the whole work seconds of this source's rows in the batch
+    /// divided by the batch's median task time (medians > 0 only).
     pub rel_time_sum: f64,
     /// Instances contributing to `rel_time_sum`.
     pub rel_time_n: u64,
@@ -158,15 +140,19 @@ impl Fused {
 /// Scan-wide configuration shared by every chunk's working copy.
 struct ScanConfig {
     w0: i32,
+    /// The least week span of the output; rows can only extend it.
     n_weeks: usize,
     /// Median task time per batch (`None` for unsampled batches), indexed
-    /// by batch id.
+    /// by batch id: what the scan's own [`Accumulator::finish`] divides
+    /// by. The live view passes the medians of its prefix instead.
     batch_median: Vec<Option<f64>>,
 }
 
 impl ScanConfig {
+    /// Weeks from `w0`, floored at 0 and not clamped above: the weekly
+    /// vectors grow to fit.
     fn week_of(&self, t: Timestamp) -> usize {
-        ((t.week().0 - self.w0).max(0) as usize).min(self.n_weeks - 1)
+        (t.week().0 - self.w0).max(0) as usize
     }
 }
 
@@ -177,7 +163,11 @@ impl ScanConfig {
 /// [`WorkerSlot`] table indexed by worker id, and every other keyed
 /// family is either a dense vector or an ascending `(key, count)` run.
 /// The ordered [`BTreeMap`]s of [`Fused`] are built once, in `finish`.
-struct FusedAcc {
+///
+/// The batch scan, the streamed scan and the live view
+/// ([`crate::view::FusedView`]) all fold with this one accumulator.
+#[derive(Clone)]
+pub(crate) struct FusedAcc {
     cfg: Arc<ScanConfig>,
     /// Rows taken one at a time through `accept`; folded as one unit at
     /// the next merge or finish.
@@ -186,8 +176,13 @@ struct FusedAcc {
     runs: Runs,
     /// Merged per-worker state, indexed by raw worker id.
     table: Vec<WorkerSlot>,
-    /// Indexed by raw source id (`n_tasks == 0` = absent).
+    /// Indexed by raw source id (`n_tasks == 0` = absent); the
+    /// `rel_time_*` fields stay 0 until `finish`.
     sources: Vec<SourceAgg>,
+    /// `((batch, source), (whole work seconds, rows))`, ascending. The
+    /// seconds are integers, so the sums are exact in any order.
+    rel_time: Vec<((u32, u32), (f64, u64))>,
+    /// Weekly series, indexed by week offset and grown as rows arrive.
     issued: Vec<u64>,
     completed: Vec<u64>,
     pickups: Vec<Vec<f64>>,
@@ -201,7 +196,7 @@ struct FusedAcc {
 }
 
 /// Rows staged by the row-at-a-time path, with their entity lookups.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Pending {
     rows: InstanceColumns,
     created: Vec<Timestamp>,
@@ -254,6 +249,7 @@ struct Run<'a> {
 }
 
 /// The end offsets of one run's slices in [`Runs`].
+#[derive(Clone)]
 struct RunHead {
     worker: u32,
     work_secs: f64,
@@ -265,7 +261,7 @@ struct RunHead {
 
 /// One fold unit's per-worker state: heads in ascending worker id, each
 /// owning the next slice of every flat key array.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Runs {
     heads: Vec<RunHead>,
     days: Vec<i64>,
@@ -300,18 +296,16 @@ impl Runs {
                 sorted.dedup();
                 runs.days.extend(sorted);
             }
-            if cfg.n_weeks > 0 {
-                let k0 = runs.weeks.len();
-                let cells = rows().map(|i| {
-                    let hours = (r.end[i] - r.start[i]).as_hours_f64();
-                    (cfg.week_of(r.start[i]), WeekCell { tasks: 1, hours })
-                });
-                if !extend_ascending(&mut runs.weeks, k0, cells.clone(), |c| c.0, add_cells) {
-                    // Stable by week: each week's hours still add in row order.
-                    let mut sorted: Vec<(usize, WeekCell)> = cells.collect();
-                    sorted.sort_by_key(|c| c.0);
-                    extend_ascending(&mut runs.weeks, k0, sorted.into_iter(), |c| c.0, add_cells);
-                }
+            let k0 = runs.weeks.len();
+            let cells = rows().map(|i| {
+                let hours = (r.end[i] - r.start[i]).as_hours_f64();
+                (cfg.week_of(r.start[i]), WeekCell { tasks: 1, hours })
+            });
+            if !extend_ascending(&mut runs.weeks, k0, cells.clone(), |c| c.0, add_cells) {
+                // Stable by week: each week's hours still add in row order.
+                let mut sorted: Vec<(usize, WeekCell)> = cells.collect();
+                sorted.sort_by_key(|c| c.0);
+                extend_ascending(&mut runs.weeks, k0, sorted.into_iter(), |c| c.0, add_cells);
             }
 
             runs.heads.push(RunHead {
@@ -347,6 +341,12 @@ impl Runs {
 fn add_cells(total: &mut (usize, WeekCell), part: &(usize, WeekCell)) {
     total.1.tasks += part.1.tasks;
     total.1.hours += part.1.hours;
+}
+
+/// Adds a `(batch, source)` group's seconds and rows into the running one.
+fn add_groups(total: &mut ((u32, u32), (f64, u64)), part: &((u32, u32), (f64, u64))) {
+    total.1 .0 += part.1 .0;
+    total.1 .1 += part.1 .1;
 }
 
 /// Appends `items` to the ascending, key-unique tail `v[from..]`, adding
@@ -443,7 +443,7 @@ fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
 }
 
 /// One worker's merged state in the dense table (empty = no rows).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct WorkerSlot {
     work_secs: f64,
     trust_sum: f64,
@@ -498,9 +498,9 @@ impl WorkerSlot {
 impl FusedAcc {
     /// The prototype for a scan over rows of `ds`'s entities. The week
     /// window runs from the first batch creation to the later of
-    /// `time_max` and `ds.time_max()`; `batch_metrics` supply the batch
-    /// median task times.
-    fn proto<'a>(
+    /// `time_max` and `ds.time_max()`, or further if rows end later;
+    /// `batch_metrics` supply the batch median task times.
+    pub(crate) fn proto<'a>(
         ds: &Dataset,
         batch_metrics: impl IntoIterator<Item = &'a crate::study::BatchMetrics>,
         time_max: Option<Timestamp>,
@@ -520,16 +520,16 @@ impl FusedAcc {
     }
 
     fn blank(cfg: Arc<ScanConfig>) -> FusedAcc {
-        let n_weeks = cfg.n_weeks;
         FusedAcc {
             cfg,
             pending: None,
             runs: Runs::default(),
             table: Vec::new(),
             sources: Vec::new(),
-            issued: vec![0; n_weeks],
-            completed: vec![0; n_weeks],
-            pickups: vec![Vec::new(); n_weeks],
+            rel_time: Vec::new(),
+            issued: Vec::new(),
+            completed: Vec::new(),
+            pickups: Vec::new(),
             weekday: [0; 7],
             per_day: Vec::new(),
             buckets: Vec::new(),
@@ -550,26 +550,27 @@ impl FusedAcc {
         acc.runs = Runs::build(&r, &work_secs, cfg);
 
         // ---- per source -------------------------------------------------
-        for (i, &ws) in work_secs.iter().enumerate() {
-            let s = slot(&mut acc.sources, r.source[i] as usize);
+        for (&src, &trust) in r.source.iter().zip(r.trust) {
+            let s = slot(&mut acc.sources, src as usize);
             s.n_tasks += 1;
-            s.trust_sum += f64::from(r.trust[i]);
-            if let Some(med) = cfg.batch_median[r.batch[i].index()] {
-                if med > 0.0 {
-                    s.rel_time_sum += ws / med;
-                    s.rel_time_n += 1;
-                }
-            }
+            s.trust_sum += f64::from(trust);
         }
+        let mut groups: Vec<((u32, u32), (f64, u64))> = r
+            .batch
+            .iter()
+            .zip(r.source)
+            .zip(&work_secs)
+            .map(|((b, &src), &ws)| ((b.raw(), src), (ws, 1)))
+            .collect();
+        groups.sort_unstable_by_key(|g| g.0);
+        extend_ascending(&mut acc.rel_time, 0, groups.into_iter(), |g| g.0, add_groups);
 
         // ---- arrival / load series --------------------------------------
-        if cfg.n_weeks > 0 {
-            for (i, &pk) in pickup.iter().enumerate() {
-                let wi = cfg.week_of(r.created[i]);
-                acc.issued[wi] += 1;
-                acc.completed[cfg.week_of(r.end[i])] += 1;
-                acc.pickups[wi].push(pk);
-            }
+        for (i, &pk) in pickup.iter().enumerate() {
+            let wi = cfg.week_of(r.created[i]);
+            *slot(&mut acc.issued, wi) += 1;
+            *slot(&mut acc.completed, cfg.week_of(r.end[i])) += 1;
+            slot(&mut acc.pickups, wi).push(pk);
         }
         for c in r.created {
             acc.weekday[c.weekday().index()] += 1;
@@ -613,6 +614,69 @@ impl FusedAcc {
         let runs = std::mem::take(&mut self.runs);
         for (worker, run) in runs.iter() {
             slot(&mut self.table, worker).absorb(run);
+        }
+    }
+
+    /// The [`Fused`] of every row folded so far, with `batch_median`
+    /// (indexed by batch id) dividing the relative-time groups: each
+    /// source adds its groups' `seconds / median` in ascending batch id,
+    /// skipping batches without a positive median. The weekly vectors are
+    /// padded to the configured span.
+    pub(crate) fn finish_with(mut self, batch_median: &[Option<f64>]) -> Fused {
+        self.seal();
+        self.settle_runs();
+        for &((batch, source), (secs, rows)) in &self.rel_time {
+            if let Some(med) = batch_median[batch as usize].filter(|&m| m > 0.0) {
+                let s = &mut self.sources[source as usize];
+                s.rel_time_sum += secs / med;
+                s.rel_time_n += rows;
+            }
+        }
+        let n_weeks = [self.issued.len(), self.completed.len(), self.pickups.len()]
+            .into_iter()
+            .fold(self.cfg.n_weeks, usize::max);
+        self.issued.resize(n_weeks, 0);
+        self.completed.resize(n_weeks, 0);
+        self.pickups.resize(n_weeks, Vec::new());
+        let workers = self
+            .table
+            .into_iter()
+            .enumerate()
+            .filter_map(|(id, s)| Some((id as u32, s.into_agg()?)))
+            .collect();
+        let sources = self
+            .sources
+            .into_iter()
+            .enumerate()
+            .filter(|(_, s)| s.n_tasks > 0)
+            .map(|(id, s)| (id as u32, s))
+            .collect();
+        let median_pickup = self.pickups.iter_mut().map(|pile| median_inplace(pile)).collect();
+        let instance_latency = self
+            .buckets
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(splice, (pickups, tasks))| {
+                let e2e = 10f64.powf(splice as f64 / 2.0 + 0.25);
+                Some(LatencyPoint {
+                    end_to_end: e2e,
+                    pickup: median_inplace(pickups)?,
+                    task: median_inplace(tasks)?,
+                })
+            })
+            .collect();
+        Fused {
+            w0: self.cfg.w0,
+            n_weeks,
+            workers,
+            sources,
+            issued: self.issued,
+            completed: self.completed,
+            median_pickup,
+            weekday: self.weekday,
+            per_day: self.per_day.into_iter().collect(),
+            instance_latency,
+            per_item: self.per_item.into_iter().collect(),
         }
     }
 }
@@ -672,17 +736,16 @@ impl Accumulator for FusedAcc {
             let mine = slot(&mut self.sources, id);
             mine.n_tasks += s.n_tasks;
             mine.trust_sum += s.trust_sum;
-            mine.rel_time_sum += s.rel_time_sum;
-            mine.rel_time_n += s.rel_time_n;
         }
-        for (mine, theirs) in self.issued.iter_mut().zip(other.issued) {
-            *mine += theirs;
+        merge_run(&mut self.rel_time, &other.rel_time, |g| g.0, add_groups);
+        for (week, n) in other.issued.into_iter().enumerate() {
+            *slot(&mut self.issued, week) += n;
         }
-        for (mine, theirs) in self.completed.iter_mut().zip(other.completed) {
-            *mine += theirs;
+        for (week, n) in other.completed.into_iter().enumerate() {
+            *slot(&mut self.completed, week) += n;
         }
-        for (mine, theirs) in self.pickups.iter_mut().zip(other.pickups) {
-            mine.extend_from_slice(&theirs);
+        for (week, pile) in other.pickups.into_iter().enumerate() {
+            slot(&mut self.pickups, week).extend_from_slice(&pile);
         }
         for (mine, theirs) in self.weekday.iter_mut().zip(other.weekday) {
             *mine += theirs;
@@ -696,49 +759,9 @@ impl Accumulator for FusedAcc {
         merge_run(&mut self.per_item, &other.per_item, |e| e.0, |a, b| a.1 += b.1);
     }
 
-    fn finish(mut self, _ds: &Dataset) -> Fused {
-        self.seal();
-        self.settle_runs();
-        let workers = self
-            .table
-            .into_iter()
-            .enumerate()
-            .filter_map(|(id, s)| Some((id as u32, s.into_agg()?)))
-            .collect();
-        let sources = self
-            .sources
-            .into_iter()
-            .enumerate()
-            .filter(|(_, s)| s.n_tasks > 0)
-            .map(|(id, s)| (id as u32, s))
-            .collect();
-        let median_pickup = self.pickups.iter_mut().map(|pile| median_inplace(pile)).collect();
-        let instance_latency = self
-            .buckets
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(splice, (pickups, tasks))| {
-                let e2e = 10f64.powf(splice as f64 / 2.0 + 0.25);
-                Some(LatencyPoint {
-                    end_to_end: e2e,
-                    pickup: median_inplace(pickups)?,
-                    task: median_inplace(tasks)?,
-                })
-            })
-            .collect();
-        Fused {
-            w0: self.cfg.w0,
-            n_weeks: self.cfg.n_weeks,
-            workers,
-            sources,
-            issued: self.issued,
-            completed: self.completed,
-            median_pickup,
-            weekday: self.weekday,
-            per_day: self.per_day.into_iter().collect(),
-            instance_latency,
-            per_item: self.per_item.into_iter().collect(),
-        }
+    fn finish(self, _ds: &Dataset) -> Fused {
+        let cfg = Arc::clone(&self.cfg);
+        self.finish_with(&cfg.batch_median)
     }
 }
 
@@ -858,13 +881,24 @@ mod tests {
         for i in (0..ds.instances.len()).rev() {
             reversed.instances.push(ds.instances.row(i).to_owned());
         }
-        for ds in [ds, &reversed] {
+        let [forward, backward] = [ds, &reversed].map(|ds| {
             let proto = FusedAcc::proto(ds, s.enriched_batches(), None);
             let rows = chunked_scan(ds, &RowPath(proto.init()));
             let columnar = chunked_scan(ds, &proto);
             assert!(columnar.sources.values().any(|s| s.rel_time_n > 0), "rel_time exercised");
             assert_bit_identical(&rows, &columnar);
-        }
+            columnar
+        });
+        // Exact whole-second group sums, each divided once: relative time
+        // depends on which rows were folded, not on their order or chunks.
+        let differ = forward
+            .sources
+            .values()
+            .zip(backward.sources.values())
+            .filter(|(f, b)| f.rel_time_sum.to_bits() != b.rel_time_sum.to_bits())
+            .count();
+        let n = forward.sources.len();
+        assert_eq!(differ, 0, "{differ} of {n} sources' rel_time_sum depend on row order");
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub mod view;
 pub mod workers;
 
 pub use study::{BatchMetrics, ClusterInfo, StreamingEnricher, Study};
-pub use view::{FusedView, ViewHandle, ViewSnapshot};
+pub use view::{FusedView, ViewSnapshot};

@@ -1,53 +1,52 @@
-//! The live, versioned fused view: [`Study::fused`]'s aggregates
-//! maintained **incrementally** under a stream of appended instance rows,
-//! instead of one memoized scan over a frozen table.
+//! The live, versioned fused view: the aggregates of
+//! [`Study::fused`](crate::Study::fused) maintained **incrementally**
+//! under a stream of appended instance rows, instead of one memoized scan
+//! over a frozen table.
 //!
 //! ## Equivalence contract
 //!
 //! After every applied delta, [`FusedView::apply`] publishes a snapshot
-//! whose [`Fused`] is equal — under `crowd-testkit`'s order-tolerant
-//! discipline, and bit-identical on every count, median, and integer-
-//! second sum — to a cold batch [`Study`] built over the same row prefix
-//! (same entities, same rows, same order). The mechanics that make this
-//! hold:
+//! whose [`Fused`] is bit-identical to a cold batch
+//! [`Study`](crate::Study) built over the same row prefix (same entities,
+//! same rows, same order). The view folds with the batch scan's own
+//! accumulator (`FusedAcc`), and three rules make its folds the batch
+//! scan's folds:
 //!
-//! * **Chunk discipline.** Rows fold into [`ScanPass::CHUNK`]-sized
-//!   accumulators merged in chunk order, exactly like the batch scan. The
-//!   view keeps a merged prefix of *full* chunks plus a sub-chunk tail;
-//!   each publish re-folds only the tail and merges it last, so every
-//!   float sum reproduces the batch fold's rounding bit-for-bit.
-//! * **Unclamped week keys.** The batch accumulator clamps week offsets
-//!   into `[0, n_weeks)`, but `n_weeks` is derived from the dataset's own
-//!   time span — the upper clamp never binds (every timestamp is ≤
-//!   `time_max` by construction), and the lower clamp only floors
-//!   negative-pickup rows at week 0, with `w0` fixed by the entity-side
-//!   batch schedule. So the view keys weekly state by the plain
-//!   `max(week - w0, 0)` offset and materializes the `n_weeks`-sized
-//!   vectors at publish time, when the prefix's true span is known.
-//! * **Publish-time enrichment.** `rel_time_sum` depends on per-batch
-//!   median task times, which shift as rows arrive. The view keeps
-//!   integer-exact per-`(source, batch)` work sums plus per-sampled-batch
-//!   work-time piles, and recomputes medians + ratios at publish — medians
-//!   of identical multisets are bit-identical (the shared sort-based
-//!   [`median`]), and regrouping the positive ratio sum stays within the
-//!   testkit ulp bound.
+//! * **Chunk discipline.** Rows fold into [`ScanPass::CHUNK`]-row chunks
+//!   merged in chunk order, exactly like the batch scan. The view keeps a
+//!   running total of the *full* chunks plus a sub-chunk tail; each
+//!   publish folds the tail into a copy of the total, last, as the batch
+//!   scan folds its final partial chunk. Every float sum therefore adds
+//!   the same terms in the same order.
+//! * **Growing week window.** A week offset is `max(week - w0, 0)`, with
+//!   `w0` the first week of the batch schedule; it is not clamped above.
+//!   A batch scan's window ends at the dataset's latest timestamp, which
+//!   bounds every offset, so an upper clamp would never bind there. The
+//!   weekly vectors grow as rows arrive, and finishing pads them to the
+//!   batch schedule's span, extended by any later row end.
+//! * **Publish-time medians.** `rel_time_sum` divides each `(batch,
+//!   source)` group's whole work seconds by the batch's median task time,
+//!   which shifts as rows arrive. The accumulator keeps the group sums
+//!   (integers, exact in any order) and divides once, when it finishes;
+//!   the view passes the medians of its per-batch work-time piles, the
+//!   same multisets the batch enrichment takes medians of, through the
+//!   same sort-based [`median`].
 //!
 //! ## Concurrency
 //!
-//! One writer owns the [`FusedView`]; readers hold cloneable
-//! [`ViewHandle`]s. A publish builds the complete immutable
-//! [`ViewSnapshot`] *first* and then swaps one `Arc` under a write lock,
-//! so a reader always observes exactly one fully-formed version — never a
-//! torn mix — and versions are monotone.
+//! A [`FusedView`] has one owner, the writer: [`FusedView::apply`] takes
+//! `&mut self`. A publish builds the complete immutable [`ViewSnapshot`]
+//! and keeps an `Arc` to it for [`FusedView::snapshot`]. The view does
+//! not share it with other threads itself; its owner does that (in
+//! `crowd-serve`, `LiveService` publishes each snapshot through its
+//! `ServiceHandle`), so every snapshot has one publisher.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crowd_core::prelude::*;
 use crowd_stats::descriptive::median;
 
-use crate::design::metrics::LatencyPoint;
-use crate::fused::{month_index, Fused, SourceAgg, WorkerAgg};
+use crate::fused::{Fused, FusedAcc};
 
 /// One published, immutable state of the view.
 #[derive(Debug)]
@@ -61,283 +60,18 @@ pub struct ViewSnapshot {
     pub fused: Fused,
 }
 
-/// The shared slot a publish swaps and a [`ViewHandle`] reads.
-struct ViewShared {
-    current: RwLock<Arc<ViewSnapshot>>,
-}
-
-/// A cloneable read handle: [`snapshot`](ViewHandle::snapshot) returns the
-/// latest fully-published version.
-#[derive(Clone)]
-pub struct ViewHandle {
-    shared: Arc<ViewShared>,
-}
-
-impl ViewHandle {
-    /// The latest published snapshot. Lock-held time is one `Arc` clone;
-    /// all query work happens against the immutable snapshot afterwards.
-    pub fn snapshot(&self) -> Arc<ViewSnapshot> {
-        Arc::clone(&self.shared.current.read().expect("view lock poisoned"))
-    }
-}
-
-/// Per-source running totals (the incrementally maintainable half of
-/// [`SourceAgg`]; `rel_time_*` is derived at publish).
-#[derive(Debug, Clone, Copy, Default)]
-struct SourceCore {
-    n_tasks: u64,
-    trust_sum: f64,
-}
-
-/// The delta accumulator: [`crate::fused::Fused`]'s raw state with
-/// unclamped week keys and publish-deferred enrichment (see module docs).
-#[derive(Debug, Clone, Default)]
-struct LiveAcc {
-    workers: BTreeMap<u32, WorkerAgg>,
-    sources: BTreeMap<u32, SourceCore>,
-    /// `(source, batch)` → (work-seconds sum, rows); sampled batches only.
-    /// Work seconds are integer-valued, so the sum is order-exact.
-    src_batch: BTreeMap<(u32, u32), (f64, u64)>,
-    /// Work-time pile per sampled batch, in row order — the multiset the
-    /// publish-time batch median is computed from.
-    batch_times: BTreeMap<u32, Vec<f64>>,
-    /// Keyed by unclamped week offset (grown on demand).
-    issued: Vec<u64>,
-    completed: Vec<u64>,
-    pickups: Vec<Vec<f64>>,
-    weekday: [u64; 7],
-    per_day: BTreeMap<i64, u64>,
-    buckets: BTreeMap<i32, (Vec<f64>, Vec<f64>)>,
-    per_item: BTreeMap<(u32, u32), u32>,
-    /// Largest end-time week seen (raw week index, not offset) — the
-    /// stream-side contribution to the publish-time week window.
-    max_end_week: Option<i32>,
-}
-
-fn bump(v: &mut Vec<u64>, i: usize) {
-    if v.len() <= i {
-        v.resize(i + 1, 0);
-    }
-    v[i] += 1;
-}
-
-impl LiveAcc {
-    /// Mirrors [`crate::fused::FusedAcc::accept`] minus the week clamp and
-    /// the batch-median lookup; any drift between the two is exactly what
-    /// the differential suite pins.
-    fn accept(&mut self, entities: &Dataset, w0: i32, row: InstanceRef<'_>) {
-        let created = entities.batch(row.batch).created_at;
-        let work_secs = row.work_time().as_secs() as f64;
-        let pickup = (row.start - created).as_secs() as f64;
-        let day = row.start.day_number();
-        let week_off = |t: Timestamp| (t.week().0 - w0).max(0) as usize;
-
-        // ---- per worker -------------------------------------------------
-        let w = self.workers.entry(row.worker.raw()).or_insert_with(WorkerAgg::new);
-        w.tasks += 1;
-        w.work_secs += work_secs;
-        w.trust_sum += f64::from(row.trust);
-        w.first_day = w.first_day.min(day);
-        w.last_day = w.last_day.max(day);
-        w.days.insert(day);
-        w.months.insert(month_index(row.start));
-        w.intervals.push((row.start, row.end));
-        let cell = w.weeks.entry(week_off(row.start)).or_default();
-        cell.tasks += 1;
-        cell.hours += row.work_time().as_hours_f64();
-
-        // ---- per source -------------------------------------------------
-        let src = entities.worker(row.worker).source;
-        let s = self.sources.entry(src.raw()).or_default();
-        s.n_tasks += 1;
-        s.trust_sum += f64::from(row.trust);
-        if entities.batch(row.batch).sampled {
-            let rel = self.src_batch.entry((src.raw(), row.batch.raw())).or_default();
-            rel.0 += work_secs;
-            rel.1 += 1;
-            self.batch_times.entry(row.batch.raw()).or_default().push(work_secs);
-        }
-
-        // ---- arrival / load series --------------------------------------
-        bump(&mut self.issued, week_off(created));
-        bump(&mut self.completed, week_off(row.end));
-        let wi = week_off(created);
-        if self.pickups.len() <= wi {
-            self.pickups.resize(wi + 1, Vec::new());
-        }
-        self.pickups[wi].push(pickup);
-        self.weekday[created.weekday().index()] += 1;
-        *self.per_day.entry(created.day_number()).or_insert(0) += 1;
-
-        // ---- latency decomposition (Fig 13b) ----------------------------
-        let p = pickup.max(1.0);
-        let task = row.work_time().as_secs().max(1) as f64;
-        let splice = (2.0 * (p + task).log10()).floor() as i32;
-        let bucket = self.buckets.entry(splice).or_default();
-        bucket.0.push(p);
-        bucket.1.push(task);
-
-        // ---- redundancy -------------------------------------------------
-        *self.per_item.entry((row.batch.raw(), row.item.raw())).or_insert(0) += 1;
-
-        let ew = row.end.week().0;
-        self.max_end_week = Some(self.max_end_week.map_or(ew, |m| m.max(ew)));
-    }
-
-    /// Mirrors [`crate::fused::FusedAcc::merge`]; `other` is the later
-    /// chunk, so its piles extend after `self`'s (row order preserved).
-    fn merge(&mut self, other: LiveAcc) {
-        for (k, v) in other.workers {
-            match self.workers.entry(k) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().absorb(v),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-        for (k, v) in other.sources {
-            let mine = self.sources.entry(k).or_default();
-            mine.n_tasks += v.n_tasks;
-            mine.trust_sum += v.trust_sum;
-        }
-        for (k, (sum, n)) in other.src_batch {
-            let mine = self.src_batch.entry(k).or_default();
-            mine.0 += sum;
-            mine.1 += n;
-        }
-        for (b, pile) in other.batch_times {
-            self.batch_times.entry(b).or_default().extend(pile);
-        }
-        if self.issued.len() < other.issued.len() {
-            self.issued.resize(other.issued.len(), 0);
-        }
-        for (i, c) in other.issued.into_iter().enumerate() {
-            self.issued[i] += c;
-        }
-        if self.completed.len() < other.completed.len() {
-            self.completed.resize(other.completed.len(), 0);
-        }
-        for (i, c) in other.completed.into_iter().enumerate() {
-            self.completed[i] += c;
-        }
-        if self.pickups.len() < other.pickups.len() {
-            self.pickups.resize(other.pickups.len(), Vec::new());
-        }
-        for (i, pile) in other.pickups.into_iter().enumerate() {
-            self.pickups[i].extend(pile);
-        }
-        for (mine, theirs) in self.weekday.iter_mut().zip(other.weekday) {
-            *mine += theirs;
-        }
-        for (d, c) in other.per_day {
-            *self.per_day.entry(d).or_insert(0) += c;
-        }
-        for (splice, (pickups, tasks)) in other.buckets {
-            let mine = self.buckets.entry(splice).or_default();
-            mine.0.extend(pickups);
-            mine.1.extend(tasks);
-        }
-        for (key, c) in other.per_item {
-            *self.per_item.entry(key).or_insert(0) += c;
-        }
-        if let Some(ew) = other.max_end_week {
-            self.max_end_week = Some(self.max_end_week.map_or(ew, |m| m.max(ew)));
-        }
-    }
-
-    /// Materializes a [`Fused`] for the current prefix: fixes the week
-    /// window, scatters the weekly series, and runs publish-time
-    /// enrichment (batch medians → per-source relative time).
-    fn shape(mut self, w0: i32, batch_max_week: Option<i32>) -> Fused {
-        let max_week = match (batch_max_week, self.max_end_week) {
-            (Some(b), Some(e)) => Some(b.max(e)),
-            (b, e) => b.or(e),
-        };
-        let (w0, n_weeks) = match max_week {
-            // `max_week ≥ w0` always: it includes the batch schedule `w0`
-            // came from, and rows only push it later.
-            Some(mw) => (w0, (mw - w0 + 1).max(0) as usize),
-            None => (0, 0),
-        };
-
-        self.issued.resize(n_weeks, 0);
-        self.completed.resize(n_weeks, 0);
-        self.pickups.resize(n_weeks, Vec::new());
-        let median_pickup = self.pickups.iter().map(|pile| median(pile)).collect();
-
-        // Publish-time enrichment: batch medians over the prefix piles,
-        // then the grouped ratio sums in (source, batch) key order.
-        let batch_median: BTreeMap<u32, Option<f64>> =
-            self.batch_times.iter().map(|(&b, pile)| (b, median(pile))).collect();
-        let mut sources: BTreeMap<u32, SourceAgg> = self
-            .sources
-            .iter()
-            .map(|(&id, core)| {
-                (
-                    id,
-                    SourceAgg {
-                        n_tasks: core.n_tasks,
-                        trust_sum: core.trust_sum,
-                        rel_time_sum: 0.0,
-                        rel_time_n: 0,
-                    },
-                )
-            })
-            .collect();
-        for (&(src, batch), &(work_sum, n)) in &self.src_batch {
-            if let Some(Some(med)) = batch_median.get(&batch) {
-                if *med > 0.0 {
-                    let agg = sources.get_mut(&src).expect("src_batch implies a source entry");
-                    agg.rel_time_sum += work_sum / med;
-                    agg.rel_time_n += n;
-                }
-            }
-        }
-
-        let instance_latency: Vec<LatencyPoint> = self
-            .buckets
-            .into_iter()
-            .filter_map(|(splice, (pickups, tasks))| {
-                let e2e = 10f64.powf(f64::from(splice) / 2.0 + 0.25);
-                Some(LatencyPoint {
-                    end_to_end: e2e,
-                    pickup: median(&pickups)?,
-                    task: median(&tasks)?,
-                })
-            })
-            .collect();
-
-        Fused {
-            w0,
-            n_weeks,
-            workers: self.workers,
-            sources,
-            issued: self.issued,
-            completed: self.completed,
-            median_pickup,
-            weekday: self.weekday,
-            per_day: self.per_day,
-            instance_latency,
-            per_item: self.per_item,
-        }
-    }
-}
-
 /// The incremental fused view (see module docs).
 pub struct FusedView {
     entities: Arc<Dataset>,
-    /// First week of the batch schedule; 0 when there are no batches (and
-    /// then no row can ever arrive, since rows reference batches).
-    w0: i32,
-    /// Last week of the batch schedule, `None` without batches.
-    batch_max_week: Option<i32>,
-    /// Merged accumulator over every *full* chunk of the row log.
-    total: LiveAcc,
+    /// Running total over every *full* chunk of the row log.
+    total: FusedAcc,
     /// Rows past the last full chunk boundary (< [`ScanPass::CHUNK`]).
     tail: InstanceColumns,
-    rows: usize,
-    version: u64,
-    shared: Arc<ViewShared>,
+    /// Work seconds of each sampled batch's rows, indexed by batch id: the
+    /// piles the publish-time batch medians are taken from.
+    batch_times: Vec<Vec<f64>>,
+    /// The latest published snapshot.
+    snapshot: Arc<ViewSnapshot>,
 }
 
 impl FusedView {
@@ -352,21 +86,14 @@ impl FusedView {
             entities.instances.is_empty(),
             "FusedView is built over an entity-only dataset; rows arrive as deltas"
         );
-        let weeks: Vec<i32> = entities.batches.iter().map(|b| b.created_at.week().0).collect();
-        let w0 = weeks.iter().copied().min().unwrap_or(0);
-        let batch_max_week = weeks.iter().copied().max();
-        let fused = LiveAcc::default().shape(w0, batch_max_week);
-        let snapshot = Arc::new(ViewSnapshot { version: 0, rows: 0, fused });
-        let shared = Arc::new(ViewShared { current: RwLock::new(snapshot) });
+        let total = FusedAcc::proto(&entities, [], None);
+        let fused = total.clone().finish_with(&[]);
         FusedView {
-            entities,
-            w0,
-            batch_max_week,
-            total: LiveAcc::default(),
+            total,
             tail: InstanceColumns::new(),
-            rows: 0,
-            version: 0,
-            shared,
+            batch_times: vec![Vec::new(); entities.batches.len()],
+            snapshot: Arc::new(ViewSnapshot { version: 0, rows: 0, fused }),
+            entities,
         }
     }
 
@@ -377,54 +104,48 @@ impl FusedView {
 
     /// Rows applied so far.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.snapshot.rows
     }
 
     /// Version of the latest published snapshot.
     pub fn version(&self) -> u64 {
-        self.version
+        self.snapshot.version
     }
 
-    /// A read handle for concurrent queriers.
-    pub fn handle(&self) -> ViewHandle {
-        ViewHandle { shared: Arc::clone(&self.shared) }
+    /// The latest published snapshot.
+    pub fn snapshot(&self) -> Arc<ViewSnapshot> {
+        Arc::clone(&self.snapshot)
     }
 
     /// Applies one delta batch of completed rows (appended to the log in
     /// order) and publishes a new snapshot — empty deltas publish too, so
     /// a heartbeat delta still bumps the version. Returns the snapshot.
     pub fn apply(&mut self, delta: &InstanceColumns) -> Arc<ViewSnapshot> {
+        for row in delta.iter() {
+            if self.entities.batch(row.batch).sampled {
+                self.batch_times[row.batch.index()].push(row.work_time().as_secs() as f64);
+            }
+        }
         self.tail.extend_from(delta, 0..delta.len());
-        self.rows += delta.len();
-        // Drain every completed CHUNK from the tail into the running
-        // total, folding in row order and merging in chunk order — the
-        // batch scan's exact discipline.
+        // Fold every completed CHUNK of the tail into the running total,
+        // in chunk order — the batch scan's exact discipline.
         while self.tail.len() >= ScanPass::CHUNK {
             let rest = self.tail.split_off(ScanPass::CHUNK);
             let chunk = std::mem::replace(&mut self.tail, rest);
-            self.total.merge(self.fold(&chunk));
+            self.total.accept_chunk(&self.entities, 0, &chunk, 0..chunk.len());
         }
-        self.publish()
-    }
 
-    fn fold(&self, cols: &InstanceColumns) -> LiveAcc {
-        let mut acc = LiveAcc::default();
-        for row in cols.iter() {
-            acc.accept(&self.entities, self.w0, row);
-        }
-        acc
-    }
-
-    fn publish(&mut self) -> Arc<ViewSnapshot> {
         let mut acc = self.total.clone();
         if !self.tail.is_empty() {
-            acc.merge(self.fold(&self.tail));
+            acc.accept_chunk(&self.entities, 0, &self.tail, 0..self.tail.len());
         }
-        let fused = acc.shape(self.w0, self.batch_max_week);
-        self.version += 1;
-        let snapshot = Arc::new(ViewSnapshot { version: self.version, rows: self.rows, fused });
-        *self.shared.current.write().expect("view lock poisoned") = Arc::clone(&snapshot);
-        snapshot
+        let medians: Vec<Option<f64>> = self.batch_times.iter().map(|pile| median(pile)).collect();
+        self.snapshot = Arc::new(ViewSnapshot {
+            version: self.snapshot.version + 1,
+            rows: self.snapshot.rows + delta.len(),
+            fused: acc.finish_with(&medians),
+        });
+        self.snapshot()
     }
 }
 
@@ -454,7 +175,7 @@ mod tests {
         f.add_batch(Duration::from_days(20));
         let ds = f.finish();
         let view = FusedView::new(Arc::new(entities_of(&ds)));
-        let snap = view.handle().snapshot();
+        let snap = view.snapshot();
         let batch = Study::new(entities_of(&ds));
         assert_eq!(snap.version, 0);
         assert_eq!(&snap.fused, batch.fused(), "empty view equals batch over zero rows");
@@ -509,6 +230,6 @@ mod tests {
         let b = view.apply(&InstanceColumns::new());
         assert_eq!(b.version, a.version + 1);
         assert_eq!(a.fused, b.fused, "empty delta leaves the aggregates untouched");
-        assert_eq!(view.handle().snapshot().version, b.version);
+        assert_eq!(view.snapshot().version, b.version);
     }
 }

@@ -24,7 +24,7 @@
 //! The headline guarantee is *incremental = batch*: after every applied
 //! delta the published fused aggregates equal what a cold batch
 //! [`Study`](crowd_analytics::Study) computes over the same event prefix
-//! — bit-identical counts and medians, order-exact float sums. The
+//! — bit for bit, in every field, floats included. The
 //! `crowd-testkit` differential harness and the root `serve_*`
 //! integration suites enforce this at every batch boundary, under
 //! concurrency, and across kill/restore.

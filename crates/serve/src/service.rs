@@ -252,7 +252,7 @@ impl LiveService {
             version: 0,
             events_applied: 0,
             gauges: Gauges::default(),
-            view: view.handle().snapshot(),
+            view: view.snapshot(),
         };
         LiveService {
             entities,
@@ -307,7 +307,7 @@ impl LiveService {
             version: state.version,
             events_applied: state.events_applied,
             gauges,
-            view: view.handle().snapshot(),
+            view: view.snapshot(),
         };
         LiveService {
             entities,
@@ -586,7 +586,7 @@ mod tests {
         let diffs = crowd_testkit::compare_fused(
             &snap.view.fused,
             svc.batch_study().fused(),
-            crowd_testkit::differential::FloatMode::OrderTolerant,
+            crowd_testkit::differential::FloatMode::Bitwise,
         );
         assert!(diffs.is_empty(), "live view diverged from batch study:\n{}", diffs.join("\n"));
     }

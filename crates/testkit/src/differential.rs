@@ -1,23 +1,18 @@
 //! Field-by-field comparison of the fused engine against the oracles.
 //!
-//! Two comparison modes exist because two different claims are checked:
+//! Every in-repo comparison uses [`FloatMode::Bitwise`]: every float must
+//! match to the last ulp. That is the claim for the batch engine against
+//! itself at different thread and shard counts (the `ScanPass` contract),
+//! for the batch engine against the straight-line oracle (the oracle
+//! folds the fractional sums with the engine's documented chunk
+//! discipline, [`crate::oracle`]), and for the live view against a batch
+//! study (the view folds with the batch accumulator, in chunk order).
 //!
-//! * [`FloatMode::Bitwise`] — every float must match to the last ulp.
-//!   This is the claim for the batch engine against itself at different
-//!   thread and shard counts (the `ScanPass` contract), and against the
-//!   straight-line oracle: the oracle folds the fractional sums with the
-//!   engine's documented chunk discipline ([`crate::oracle`]), so no
-//!   rounding difference is legitimate there either.
-//! * [`FloatMode::OrderTolerant`] — the live view against a batch study.
-//!   Counts, order statistics (medians of identical multisets), and
-//!   integer-valued sums (whole seconds, exactly representable and
-//!   associative below 2^53) still must match exactly; only the
-//!   genuinely fractional accumulations (`trust_sum`, week `hours`,
-//!   `rel_time_sum`) may differ in rounding, because the view computes
-//!   `rel_time_sum` at publish time in a different grouping. Those are
-//!   compared with a ulp bound scaled by the number of summed terms (all
-//!   terms are non-negative, so the sums are well-conditioned and the
-//!   bound is tight).
+//! [`FloatMode::OrderTolerant`] compares the fractional sums
+//! (`trust_sum`, week `hours`, `rel_time_sum`) within a ulp bound scaled
+//! by the number of summed terms, and everything else exactly. No suite
+//! here uses it; it is kept for the benchmark's final live-versus-batch
+//! check, which names it.
 
 use crowd_analytics::fused::{compute_streamed, Fused};
 use crowd_analytics::study::BatchMetrics;
@@ -29,11 +24,11 @@ use crate::oracle::oracle_fused;
 /// How floats are compared; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FloatMode {
-    /// Every float must match to the bit (batch engine vs itself and vs
-    /// the chunk-exact oracle).
+    /// Every float must match to the bit (batch engine vs itself, vs the
+    /// chunk-exact oracle, and vs the live view).
     Bitwise,
-    /// Order-sensitive fractional sums get a term-scaled ulp bound (live
-    /// view vs batch).
+    /// Order-sensitive fractional sums get a term-scaled ulp bound (kept
+    /// for the benchmark's final check; see the module docs).
     OrderTolerant,
 }
 

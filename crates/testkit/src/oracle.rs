@@ -8,17 +8,20 @@
 //!
 //! The one piece of engine structure the oracles do copy is the
 //! [`ScanPass::CHUNK`] float discipline, and only where it decides bits:
-//! the fractional sums — worker `trust_sum`, week `hours`, source
-//! `trust_sum` and `rel_time_sum` — fold from 0.0 in row order within
-//! each fixed 8192-row chunk, and the chunk partials are added in chunk
-//! order (`chunk_ranges`). That is the scan engine's documented
-//! contract, so the engine must match these oracles bit for bit.
+//! the fractional sums — worker `trust_sum`, week `hours` and source
+//! `trust_sum` — fold from 0.0 in row order within each fixed 8192-row
+//! chunk, and the chunk partials are added in chunk order
+//! (`chunk_ranges`). That is the scan engine's documented contract, so
+//! the engine must match these oracles bit for bit. Source
+//! `rel_time_sum` needs no chunks: it is defined over exact whole-second
+//! `(batch, source)` group sums, each divided once by its batch median
+//! ([`source_aggregates`]), so row order and chunking cannot change it.
 //!
 //! Family → engine map (all in [`crowd_analytics::fused`] unless noted):
 //!
 //! | oracle function              | fused field(s)                  | figures |
 //! |------------------------------|---------------------------------|---------|
-//! | [`batch_task_time_medians`]  | `FusedAcc::batch_median` input  | §4.1    |
+//! | [`batch_task_time_medians`]  | batch medians `rel_time_sum` divides by | §4.1 |
 //! | [`arrivals`]                 | `issued`/`completed`/`median_pickup` | Figs 1–2 |
 //! | [`weekday_load`]             | `weekday`                       | Fig 4   |
 //! | [`daily_load`]               | `per_day`                       | Fig 3   |
@@ -181,10 +184,13 @@ pub fn worker_aggregates(ds: &Dataset) -> BTreeMap<u32, WorkerAgg> {
     out
 }
 
-/// Per-source aggregates: task counts, trust sums, and relative-speed
-/// sums (work time divided by the batch's median task time, Table 4).
-/// `batch_median` is the [`batch_task_time_medians`] vector. Chunked like
-/// [`worker_aggregates`].
+/// Per-source aggregates: task counts and trust sums (chunked like
+/// [`worker_aggregates`]), and relative task time (Table 4, Fig 27): the
+/// rows are grouped by `(batch, source)`, and each source adds, over its
+/// groups in ascending batch id, the group's whole work seconds divided
+/// by the batch median, skipping batches whose median is absent or not
+/// positive; `rel_time_n` counts the rows of the groups it added.
+/// `batch_median` is the [`batch_task_time_medians`] vector.
 pub fn source_aggregates(ds: &Dataset, batch_median: &[Option<f64>]) -> BTreeMap<u32, SourceAgg> {
     let mut out: BTreeMap<u32, SourceAgg> = BTreeMap::new();
     for chunk in chunk_ranges(ds) {
@@ -194,19 +200,27 @@ pub fn source_aggregates(ds: &Dataset, batch_median: &[Option<f64>]) -> BTreeMap
             let s = part.entry(ds.worker(row.worker).source.raw()).or_default();
             s.n_tasks += 1;
             s.trust_sum += f64::from(row.trust);
-            if let Some(med) = batch_median[row.batch.index()] {
-                if med > 0.0 {
-                    s.rel_time_sum += row.work_time().as_secs() as f64 / med;
-                    s.rel_time_n += 1;
-                }
-            }
         }
         for (id, p) in part {
             let s = out.entry(id).or_default();
             s.n_tasks += p.n_tasks;
             s.trust_sum += p.trust_sum;
-            s.rel_time_sum += p.rel_time_sum;
-            s.rel_time_n += p.rel_time_n;
+        }
+    }
+
+    let mut groups: BTreeMap<(u32, u32), (f64, u64)> = BTreeMap::new();
+    for row in ds.instances.iter() {
+        let g = groups.entry((row.batch.raw(), ds.worker(row.worker).source.raw())).or_default();
+        g.0 += row.work_time().as_secs() as f64;
+        g.1 += 1;
+    }
+    for ((batch, source), (secs, rows)) in groups {
+        if let Some(med) = batch_median[batch as usize] {
+            if med > 0.0 {
+                let s = out.get_mut(&source).expect("every grouped row counted its source");
+                s.rel_time_sum += secs / med;
+                s.rel_time_n += rows;
+            }
         }
     }
     out

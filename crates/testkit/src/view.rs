@@ -15,12 +15,12 @@
 //!    delta batches (including an empty heartbeat delta);
 //! 3. at **every** batch boundary the published snapshot is compared
 //!    field-by-field ([`compare_fused`]) against a cold [`Study`] over
-//!    exactly the rows applied so far — counts, order statistics, and
-//!    integer-valued sums bitwise, order-sensitive float sums within the
-//!    term-scaled ULP bound;
-//! 4. the final state is additionally checked against the batch engine
-//!    at 1 and 4 worker threads, tying the live path into the same
-//!    thread-invariance contract as the rest of the engine.
+//!    exactly the rows applied so far, every float to the bit
+//!    ([`FloatMode::Bitwise`]): the view folds with the batch scan's own
+//!    accumulator in the batch scan's chunk order;
+//! 4. the final state is additionally checked, to the bit, against the
+//!    batch engine at 1 and 4 worker threads, tying the live path into
+//!    the same thread-invariance contract as the rest of the engine.
 
 use std::sync::Arc;
 
@@ -108,7 +108,7 @@ pub fn assert_view_matches_batch(ds: &Dataset, deltas: usize) {
         let mut prefix = entities_of(ds);
         prefix.instances = rows.clone_range(0..cut);
         let batch = Study::new(prefix);
-        let diffs = compare_fused(&snap.fused, batch.fused(), FloatMode::OrderTolerant);
+        let diffs = compare_fused(&snap.fused, batch.fused(), FloatMode::Bitwise);
         assert!(
             diffs.is_empty(),
             "view diverged from batch study at boundary {cut}/{} rows:\n{}",
@@ -121,10 +121,10 @@ pub fn assert_view_matches_batch(ds: &Dataset, deltas: usize) {
     // obeys the same thread-invariance contract as the batch scan.
     let mut full = entities_of(ds);
     full.instances = rows.clone_range(0..rows.len());
-    let final_snap = view.handle().snapshot();
+    let final_snap = view.snapshot();
     for threads in [1usize, 4] {
         let engine = fused_with_threads(&full, threads);
-        let diffs = compare_fused(&final_snap.fused, &engine, FloatMode::OrderTolerant);
+        let diffs = compare_fused(&final_snap.fused, &engine, FloatMode::Bitwise);
         assert!(
             diffs.is_empty(),
             "drained view diverged from the {threads}-thread batch engine:\n{}",

@@ -449,30 +449,10 @@ fn main() {
 
     if args.verify {
         eprintln!("verify: rebuilding cold batch study …");
-        let batch = service.batch_study();
-        let live = &snap.view.fused;
-        let cold = batch.fused();
-        let mut bad = Vec::new();
-        if live.n_instances() != cold.n_instances() {
-            bad.push("n_instances".to_string());
+        if snap.view.fused != *service.batch_study().fused() {
+            die("verify FAILED: live view diverged from the batch study");
         }
-        if live.issued != cold.issued || live.completed != cold.completed {
-            bad.push("weekly throughput".to_string());
-        }
-        if live.median_pickup != cold.median_pickup {
-            bad.push("median pickup".to_string());
-        }
-        if live.workers.len() != cold.workers.len() {
-            bad.push("worker count".to_string());
-        }
-        if live.per_item != cold.per_item {
-            bad.push("per-item judgments".to_string());
-        }
-        if bad.is_empty() {
-            println!("verify: live view ≡ batch study ✓");
-        } else {
-            die(&format!("verify FAILED: live view diverged on {}", bad.join(", ")));
-        }
+        println!("verify: live view ≡ batch study ✓");
     }
 }
 

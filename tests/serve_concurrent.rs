@@ -30,7 +30,7 @@ fn assert_final_matches_batch_at_threads(svc: &LiveService, feed: &EventFeed) {
     let final_fused = &svc.handle().snapshot().view.fused;
     for threads in [1usize, 4] {
         let engine = fused_with_threads(&full, threads);
-        let diffs = compare_fused(final_fused, &engine, FloatMode::OrderTolerant);
+        let diffs = compare_fused(final_fused, &engine, FloatMode::Bitwise);
         assert!(
             diffs.is_empty(),
             "drained live view diverged from the {threads}-thread batch engine:\n{}",

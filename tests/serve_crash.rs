@@ -21,6 +21,7 @@
 use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crowd_core::rng::stream_seed;
 
@@ -29,10 +30,15 @@ struct Dirs {
     root: PathBuf,
 }
 
+/// Numbers every `Dirs` of this process: the tests run concurrently and
+/// several ask for the same tag (each calls `golden()`).
+static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+
 impl Dirs {
     fn new(tag: &str) -> Dirs {
-        let root =
-            std::env::temp_dir().join(format!("crowd_serve_crash_{tag}_{}", std::process::id()));
+        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+        let root = std::env::temp_dir()
+            .join(format!("crowd_serve_crash_{tag}_{}_{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).expect("create scenario dir");
         Dirs { root }
