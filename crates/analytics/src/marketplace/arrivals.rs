@@ -1,8 +1,9 @@
 //! Task arrivals over time (paper §3.1; Figs 1, 2, 3).
 
+use std::collections::BTreeSet;
+
 use crowd_core::prelude::*;
-use crowd_stats::descriptive::{median, percentile};
-use crowd_table::{Agg, Table};
+use crowd_stats::descriptive::median;
 
 use crate::study::Study;
 
@@ -73,44 +74,18 @@ pub fn weekly(study: &Study) -> WeeklyArrivals {
         median_pickup: vec![None; n],
     };
 
-    // Distinct tasks per week, all vs sampled — via the columnar engine.
-    let mut week_col: Vec<i64> = Vec::with_capacity(ds.batches.len());
-    let mut type_col: Vec<f64> = Vec::with_capacity(ds.batches.len());
-    let mut sampled_col: Vec<i64> = Vec::with_capacity(ds.batches.len());
+    // Batches and distinct tasks per week, all vs sampled: a task counts
+    // once in a week, on the first insert of its (week, type) pair.
+    let mut seen_all = BTreeSet::new();
+    let mut seen_sampled = BTreeSet::new();
     for b in &ds.batches {
-        let w = (b.created_at.week().0 - w0) as i64;
-        week_col.push(w);
-        type_col.push(f64::from(b.task_type.raw()));
-        sampled_col.push(i64::from(b.sampled));
-        out.batches[w as usize] += 1;
-    }
-    let mut t = Table::new();
-    t.push_int_column("week", week_col.clone()).expect("fresh table");
-    t.push_float_column("task_type", type_col).expect("fresh table");
-    t.push_int_column("sampled", sampled_col).expect("fresh table");
-
-    let all = t
-        .group_by("week")
-        .expect("week col")
-        .agg("task_type", Agg::CountDistinct)
-        .expect("distinct")
-        .finish();
-    for row in 0..all.n_rows() {
-        let w = all.ints("week").expect("week")[row] as usize;
-        out.distinct_tasks_all[w] = all.floats("task_type_distinct").expect("col")[row] as u64;
-    }
-    let sampled_only = t.filter_by("sampled", |v| v.as_f64() == Some(1.0)).expect("mask");
-    if sampled_only.n_rows() > 0 {
-        let s = sampled_only
-            .group_by("week")
-            .expect("week col")
-            .agg("task_type", Agg::CountDistinct)
-            .expect("distinct")
-            .finish();
-        for row in 0..s.n_rows() {
-            let w = s.ints("week").expect("week")[row] as usize;
-            out.distinct_tasks_sampled[w] =
-                s.floats("task_type_distinct").expect("col")[row] as u64;
+        let w = (b.created_at.week().0 - w0) as usize;
+        out.batches[w] += 1;
+        if seen_all.insert((w, b.task_type)) {
+            out.distinct_tasks_all[w] += 1;
+        }
+        if b.sampled && seen_sampled.insert((w, b.task_type)) {
+            out.distinct_tasks_sampled[w] += 1;
         }
     }
 
@@ -162,7 +137,6 @@ pub fn daily_load(study: &Study, since: Timestamp) -> Option<DailyLoad> {
     let med = median(&counts)?;
     let max = counts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let min = counts.iter().copied().fold(f64::INFINITY, f64::min);
-    let _ = percentile(&counts, 99.0);
     Some(DailyLoad {
         median: med,
         max,
@@ -196,6 +170,34 @@ mod tests {
         for i in 0..w.weeks.len() {
             assert!(w.distinct_tasks_sampled[i] <= w.distinct_tasks_all[i]);
         }
+    }
+
+    #[test]
+    fn weekly_distinct_tasks_match_a_type_major_count() {
+        // Walks type by type (production walks the batch table week by
+        // week): every (type, week-with-a-batch) pair adds 1 to the week.
+        let s = study();
+        let w = weekly(s);
+        let ds = s.dataset();
+        let w0 = w.weeks[0].0;
+        let mut all = vec![0u64; w.weeks.len()];
+        let mut sampled = vec![0u64; w.weeks.len()];
+        for t in 0..ds.task_types.len() {
+            let batches: Vec<&Batch> =
+                s.index().batches_of_type(TaskTypeId::from_usize(t)).map(|b| ds.batch(b)).collect();
+            for (sampled_only, counts) in [(false, &mut all), (true, &mut sampled)] {
+                let weeks: BTreeSet<i32> = batches
+                    .iter()
+                    .filter(|b| b.sampled || !sampled_only)
+                    .map(|b| b.created_at.week().0)
+                    .collect();
+                for week in weeks {
+                    counts[(week - w0) as usize] += 1;
+                }
+            }
+        }
+        assert_eq!(w.distinct_tasks_all, all);
+        assert_eq!(w.distinct_tasks_sampled, sampled);
     }
 
     #[test]

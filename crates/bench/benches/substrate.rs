@@ -1,6 +1,7 @@
 //! Performance benches for the substrates: simulation throughput,
-//! enrichment (clustering + metrics), HTML parsing/extraction, the
-//! columnar group-by, statistics, and the decision tree.
+//! enrichment (clustering + metrics), HTML parsing/extraction,
+//! statistics, the decision tree, and label aggregation (majority vote,
+//! Dawid–Skene).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -14,7 +15,6 @@ use crowd_core::answer::{item_disagreement, Answer};
 use crowd_html::extract_features;
 use crowd_sim::simulate;
 use crowd_stats::{welch_t_test, EmpiricalCdf};
-use crowd_table::{Agg, Table};
 
 fn bench_simulator(c: &mut Criterion) {
     let cfg = bench_sim_config();
@@ -66,13 +66,6 @@ fn bench_primitives(c: &mut Criterion) {
     g.bench_function("welch_t_test_1k", |b| b.iter(|| black_box(welch_t_test(&a, &bvals))));
     // CDF construction.
     g.bench_function("cdf_build_1k", |b| b.iter(|| black_box(EmpiricalCdf::new(&a))));
-    // Columnar group-by over 100k rows.
-    let mut t = Table::new();
-    t.push_int_column("week", (0..100_000).map(|i| i % 200).collect()).unwrap();
-    t.push_float_column("v", (0..100_000).map(|i| i as f64).collect()).unwrap();
-    g.bench_function("groupby_100k", |b| {
-        b.iter(|| black_box(t.group_by("week").unwrap().agg("v", Agg::Median).unwrap().finish()))
-    });
     // Decision tree fit on §4.9-sized data.
     let x: Vec<Vec<f64>> = (0..3_000)
         .map(|i| vec![(i % 311) as f64, ((i * 7) % 101) as f64, f64::from(i % 2 == 0)])

@@ -1,9 +1,9 @@
 //! # crowd-bench
 //!
-//! Benchmark harness regenerating every table and figure of the study.
-//! The criterion benches (under `benches/`) call the same analytics APIs
-//! as the `repro` binary, so `cargo bench` both measures the analysis cost
-//! and exercises the full reproduction path.
+//! Criterion benches (under `benches/`) and their shared fixtures: the CI
+//! perf gate and the runs behind the `BENCH_*.json` baselines, substrate
+//! timings, and the design-choice ablations. The cost of regenerating the
+//! figures themselves is measured end to end by perfbench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,6 @@ use std::fmt;
 /// "crowdsourcing requesters require high exact agreement … so that answers
 /// can be easily aggregated via conventional majority vote" (§4.1).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Answer {
     /// A selection from a closed set of alternatives (radio buttons,
     /// check boxes, drop-downs). The value is the alternative's index.

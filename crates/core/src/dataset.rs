@@ -22,7 +22,6 @@ use crate::worker::{Country, Source, Worker};
 /// instance table is columnar ([`InstanceColumns`]) and reads hand out
 /// [`InstanceRef`] views instead.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskInstance {
     /// The batch this instance belongs to.
     pub batch: BatchId,
@@ -102,7 +101,6 @@ impl InstanceRef<'_> {
 /// columns; [`InstanceColumns::row`] / [`Dataset::instance`] reassemble a
 /// full row view when row-at-a-time access is clearer.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InstanceColumns {
     batch: Vec<BatchId>,
     item: Vec<ItemId>,
@@ -435,7 +433,6 @@ impl HtmlArena {
 /// Construct through [`DatasetBuilder`], which validates referential
 /// integrity; a `Dataset` in hand is therefore always consistent.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dataset {
     /// Labor sources (paper Table 4).
     pub sources: Vec<Source>,
@@ -693,7 +690,6 @@ impl DatasetIndex {
 
 /// Headline dataset counts (paper §2.2).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DatasetSummary {
     /// Number of labor sources.
     pub sources: usize,

@@ -12,8 +12,6 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $tag:literal) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-        #[cfg_attr(feature = "serde", serde(transparent))]
         pub struct $name(u32);
 
         impl $name {

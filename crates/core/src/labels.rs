@@ -12,7 +12,6 @@ use std::marker::PhantomData;
 
 /// Simple/complex split used by the §3.5 trend analysis (Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Complexity {
     /// "Simple" class: {ER, SA, QA} goals, {filter, rate} operators, text data.
     Simple,
@@ -82,7 +81,6 @@ macro_rules! define_label {
     ) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub enum $name {
             $( $(#[$vdoc])* $variant, )+
         }
@@ -201,10 +199,8 @@ define_label!(
 /// Tasks may carry one or more labels per category (paper §3.4), and the
 /// largest category has 10 variants, so 16 bits suffice.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LabelSet<L: Label> {
     bits: u16,
-    #[cfg_attr(feature = "serde", serde(skip))]
     _marker: PhantomData<L>,
 }
 

@@ -13,7 +13,6 @@ use crate::time::Timestamp;
 /// effectiveness metrics; the field names mirror the paper's notation
 /// (`#words`, `#text-box`, `#examples`, `#images`, `#items`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DesignFeatures {
     /// Number of words in the task's HTML page (§4.3).
     pub words: u32,
@@ -69,7 +68,6 @@ impl DesignFeatures {
 /// repeatedly across batches (paper §2 overloads "task" this way; ~6,600
 /// distinct tasks exist in the full dataset).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskType {
     /// Short textual description, as in the per-batch metadata (§2.3).
     pub title: String,
@@ -137,7 +135,6 @@ impl TaskType {
 /// the HTML of one sample task instance (§2.3). Batches outside the 12k-batch
 /// sample carry only title and creation date (`html == None`).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Batch {
     /// The distinct task this batch instantiates. In the real dataset this
     /// linkage is *recovered* by clustering HTML (§3.3); the simulator also

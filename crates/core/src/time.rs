@@ -19,8 +19,6 @@ pub const SECS_PER_WEEK: i64 = 7 * SECS_PER_DAY;
 
 /// A span of time with second resolution. May be negative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Duration(i64);
 
 impl Duration {
@@ -113,7 +111,6 @@ impl fmt::Display for Duration {
 
 /// Day of the week, ISO numbering (`Mon = 0` … `Sun = 6`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Weekday {
     /// Monday.
     Mon,
@@ -183,8 +180,6 @@ impl fmt::Display for Weekday {
 /// Index of a civil week. Week 0 contains the Unix epoch (1970-01-01 was a
 /// Thursday; weeks start on Monday, so week 0 starts 1969-12-29).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct WeekIndex(pub i32);
 
 impl WeekIndex {
@@ -213,8 +208,6 @@ const EPOCH_WEEK_START: i64 = -3 * SECS_PER_DAY;
 ///
 /// Internally the count of seconds since the Unix epoch; may be negative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Timestamp(i64);
 
 impl Timestamp {

@@ -6,7 +6,6 @@ use crate::id::{CountryId, SourceId};
 /// dedicated workforces, on-demand/one-off workforces, the marketplace's own
 /// internal pool, and sources specialized by region or domain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SourceKind {
     /// Engaged workforce performing many tasks per worker (e.g. clixsense).
     Dedicated,
@@ -47,7 +46,6 @@ impl SourceKind {
 /// A labor source that routes workers into the marketplace (paper §5.1:
 /// 139 sources; Table 4 lists them).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Source {
     /// Source name as listed in Table 4 (e.g. `neodev`, `clixsense`, `amt`).
     pub name: String,
@@ -69,7 +67,6 @@ impl Source {
 
 /// A worker's country (paper Fig. 28: 148 countries).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Country {
     /// Display name, e.g. `USA`, `Venezuela`.
     pub name: String,
@@ -86,7 +83,6 @@ impl Country {
 /// (paper §2.3: worker ID, location, source); latent skill lives in the
 /// simulator and surfaces only through per-instance trust scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Worker {
     /// The labor source that recruited this worker.
     pub source: SourceId,

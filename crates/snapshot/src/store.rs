@@ -31,8 +31,6 @@ pub const ENV_DIR: &str = "CROWD_SNAPSHOT_DIR";
 #[derive(Clone)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    backoff: Backoff,
-    clock: Arc<dyn Clock>,
     swallowed: Arc<AtomicU64>,
     shards: usize,
 }
@@ -41,7 +39,6 @@ impl std::fmt::Debug for SnapshotStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotStore")
             .field("dir", &self.dir)
-            .field("backoff", &self.backoff)
             .field("shards", &self.shards)
             .field("swallowed", &self.swallowed_saves())
             .finish_non_exhaustive()
@@ -51,31 +48,12 @@ impl std::fmt::Debug for SnapshotStore {
 impl SnapshotStore {
     /// A store rooted at `dir` (created lazily on first save).
     pub fn new(dir: impl Into<PathBuf>) -> SnapshotStore {
-        SnapshotStore {
-            dir: dir.into(),
-            backoff: Backoff::default(),
-            clock: Arc::new(SystemClock),
-            swallowed: Arc::new(AtomicU64::new(0)),
-            shards: 1,
-        }
+        SnapshotStore { dir: dir.into(), swallowed: Arc::new(AtomicU64::new(0)), shards: 1 }
     }
 
     /// A store rooted at `$CROWD_SNAPSHOT_DIR`, when set and non-empty.
     pub fn from_env() -> Option<SnapshotStore> {
         std::env::var(ENV_DIR).ok().filter(|v| !v.is_empty()).map(SnapshotStore::new)
-    }
-
-    /// Replaces the retry policy for transient save failures.
-    pub fn with_backoff(mut self, backoff: Backoff) -> SnapshotStore {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Replaces the clock backing retry delays (inject a
-    /// [`crowd_ingest::ManualClock`] in tests).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> SnapshotStore {
-        self.clock = clock;
-        self
     }
 
     /// Sets how many instance shards [`save`](Self::save) and
@@ -162,20 +140,21 @@ impl SnapshotStore {
     /// Writes the snapshot for `cfg`, returning the final path.
     ///
     /// Stale temp files are swept first; transient IO errors
-    /// (`Interrupted`, `WouldBlock`) are retried under the store's
-    /// backoff; anything else is surfaced after cleaning up the temp.
+    /// (`Interrupted`, `WouldBlock`) are retried under the default
+    /// [`Backoff`]; anything else is surfaced after cleaning up the temp.
     pub fn save(&self, cfg: &SimConfig, snapshot: &Snapshot) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(&self.dir)?;
         self.sweep_stale();
         let path = self.path_for(cfg);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let bytes = encode_sharded(snapshot, fingerprint(cfg), self.shards);
+        let backoff = Backoff::default();
         let mut retries = 0u32;
         loop {
             match std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path)) {
                 Ok(()) => return Ok(path),
-                Err(e) if is_transient(&e) && retries < self.backoff.max_retries => {
-                    self.clock.sleep(self.backoff.delay(retries));
+                Err(e) if is_transient(&e) && retries < backoff.max_retries => {
+                    SystemClock.sleep(backoff.delay(retries));
                     retries += 1;
                 }
                 Err(e) => {

@@ -83,9 +83,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         }
         match arg.as_str() {
             "--help" | "-h" => out.help = true,
-            t => {
+            t if t == "all" || ALL_TARGETS.contains(&t) => {
                 out.targets.insert(t.to_string());
             }
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
     if out.targets.is_empty() || out.targets.contains("all") {
@@ -860,6 +861,12 @@ mod tests {
     fn all_keyword_expands() {
         let args = parse(&["all", "fig1"]).unwrap();
         assert_eq!(args.targets.len(), ALL_TARGETS.len());
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors() {
+        assert_eq!(parse(&["fig99"]).unwrap_err(), "unknown argument `fig99`");
+        assert_eq!(parse(&["--scael", "0.5", "fig1"]).unwrap_err(), "unknown argument `--scael`");
     }
 
     #[test]

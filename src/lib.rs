@@ -12,9 +12,8 @@
 //! * [`core`] is the relational data model;
 //! * [`analytics`] re-derives every figure and table (§3 marketplace, §4
 //!   task design, §5 workers) from raw rows;
-//! * [`html`], [`cluster`], [`stats`], [`table`], [`classify`] are the
-//!   substrates (task-interface HTML, batch clustering, statistics,
-//!   columnar aggregation, decision trees);
+//! * [`html`], [`cluster`], [`stats`], [`classify`] are the substrates
+//!   (task-interface HTML, batch clustering, statistics, decision trees);
 //! * [`report`] renders figures and tables in the terminal.
 //!
 //! ## Quickstart
@@ -49,7 +48,6 @@ pub use crowd_report as report;
 pub use crowd_sim as sim;
 pub use crowd_snapshot as snapshot;
 pub use crowd_stats as stats;
-pub use crowd_table as table;
 
 /// The most commonly needed items in one import.
 pub mod prelude {

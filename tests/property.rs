@@ -215,20 +215,6 @@ proptest! {
     }
 
     #[test]
-    fn groupby_sums_match_total(
-        rows in prop::collection::vec((0i64..20, -100f64..100.0), 1..300)
-    ) {
-        use crowd_table::{Agg, Table};
-        let mut t = Table::new();
-        t.push_int_column("k", rows.iter().map(|&(k, _)| k).collect()).unwrap();
-        t.push_float_column("v", rows.iter().map(|&(_, v)| v).collect()).unwrap();
-        let g = t.group_by("k").unwrap().agg("v", Agg::Sum).unwrap().finish();
-        let grouped: f64 = g.floats("v_sum").unwrap().iter().sum();
-        let direct: f64 = rows.iter().map(|&(_, v)| v).sum();
-        prop_assert!((grouped - direct).abs() < 1e-6 * (1.0 + direct.abs()));
-    }
-
-    #[test]
     fn bucketization_total_and_order(
         xs in prop::collection::vec(-1e4f64..1e4, 2..300),
         n in 2usize..12,
