@@ -111,6 +111,26 @@ pub struct InstanceColumns {
     answer: Vec<Answer>,
 }
 
+/// Every column of an [`InstanceColumns`], borrowed for appending — see
+/// [`InstanceColumns::append_columns`].
+#[derive(Debug)]
+pub struct ColumnsMut<'a> {
+    /// Batch of each row.
+    pub batch: &'a mut Vec<BatchId>,
+    /// Item of each row.
+    pub item: &'a mut Vec<ItemId>,
+    /// Worker of each row.
+    pub worker: &'a mut Vec<WorkerId>,
+    /// Start time of each row.
+    pub start: &'a mut Vec<Timestamp>,
+    /// End time of each row.
+    pub end: &'a mut Vec<Timestamp>,
+    /// Trust score of each row.
+    pub trust: &'a mut Vec<f32>,
+    /// Answer of each row.
+    pub answer: &'a mut Vec<Answer>,
+}
+
 impl InstanceColumns {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -140,28 +160,52 @@ impl InstanceColumns {
         self.answer.reserve(additional);
     }
 
-    /// Assembles a store directly from its columns (the bulk-load path used
-    /// by snapshot deserialization, which reads each column verbatim).
+    /// Appends `rows` rows one whole column at a time — the bulk-load
+    /// path of snapshot decoding, which writes each decoded column
+    /// straight onto the end of this store's. Every column is reserved for
+    /// `rows` more rows first, so a store truncated for reuse whose
+    /// capacity already covers them does not allocate.
     ///
-    /// Fails with [`CoreError::ColumnLengthMismatch`] unless all columns
-    /// have the same length; referential integrity is *not* checked here —
-    /// run [`Dataset::validate`] on the containing dataset for that.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        batch: Vec<BatchId>,
-        item: Vec<ItemId>,
-        worker: Vec<WorkerId>,
-        start: Vec<Timestamp>,
-        end: Vec<Timestamp>,
-        trust: Vec<f32>,
-        answer: Vec<Answer>,
-    ) -> Result<Self> {
-        let n = batch.len();
-        let lens = [item.len(), worker.len(), start.len(), end.len(), trust.len(), answer.len()];
-        if let Some(&got) = lens.iter().find(|&&l| l != n) {
-            return Err(CoreError::ColumnLengthMismatch { expected: n, got });
+    /// `fill` must push exactly `rows` values onto every column. If it
+    /// fails, or pushes any other number, every column is cut back to its
+    /// previous length, so the store is never left ragged; a wrong count
+    /// fails with [`CoreError::ColumnLengthMismatch`]. Referential
+    /// integrity is *not* checked here — run [`Dataset::validate`] on the
+    /// containing dataset for that.
+    pub fn append_columns<E: From<CoreError>>(
+        &mut self,
+        rows: usize,
+        fill: impl FnOnce(ColumnsMut<'_>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let old = self.len();
+        self.reserve(rows);
+        let filled = fill(ColumnsMut {
+            batch: &mut self.batch,
+            item: &mut self.item,
+            worker: &mut self.worker,
+            start: &mut self.start,
+            end: &mut self.end,
+            trust: &mut self.trust,
+            answer: &mut self.answer,
+        });
+        let lens = [
+            self.batch.len(),
+            self.item.len(),
+            self.worker.len(),
+            self.start.len(),
+            self.end.len(),
+            self.trust.len(),
+            self.answer.len(),
+        ];
+        let expected = old + rows;
+        let appended = filled.and_then(|()| match lens.into_iter().find(|&l| l != expected) {
+            Some(got) => Err(CoreError::ColumnLengthMismatch { expected, got }.into()),
+            None => Ok(()),
+        });
+        if appended.is_err() {
+            self.truncate(old);
         }
-        Ok(InstanceColumns { batch, item, worker, start, end, trust, answer })
+        appended
     }
 
     /// Splits the store at `at`, returning the tail `[at, len)` and
@@ -863,6 +907,38 @@ mod tests {
         grown.extend_from(&ds.instances, 2..3);
         assert_eq!(grown, ds.instances);
         assert_eq!(grown.clone_range(0..0).len(), 0);
+    }
+
+    #[test]
+    fn append_columns_appends_whole_columns_or_nothing() {
+        let ds = tiny();
+        let mut cols = ds.instances.clone_range(0..1);
+        let rest = ds.instances.clone_range(1..3);
+        let copy = |c: ColumnsMut<'_>| -> Result<()> {
+            c.batch.extend_from_slice(rest.batch_col());
+            c.item.extend_from_slice(rest.item_col());
+            c.worker.extend_from_slice(rest.worker_col());
+            c.start.extend_from_slice(rest.start_col());
+            c.end.extend_from_slice(rest.end_col());
+            c.trust.extend_from_slice(rest.trust_col());
+            c.answer.extend_from_slice(rest.answer_col());
+            Ok(())
+        };
+        cols.append_columns(2, copy).unwrap();
+        assert_eq!(cols, ds.instances);
+
+        // A short column and a failing fill both leave the store as it was.
+        let ragged = cols.append_columns(1, |c: ColumnsMut<'_>| -> Result<()> {
+            c.batch.push(BatchId::new(0));
+            Ok(())
+        });
+        assert_eq!(ragged, Err(CoreError::ColumnLengthMismatch { expected: 4, got: 3 }));
+        let failed = cols.append_columns(1, |c: ColumnsMut<'_>| -> Result<()> {
+            c.trust.push(0.5);
+            Err(CoreError::NegativeDuration { instance: 3 })
+        });
+        assert_eq!(failed, Err(CoreError::NegativeDuration { instance: 3 }));
+        assert_eq!(cols, ds.instances);
     }
 
     #[test]

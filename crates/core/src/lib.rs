@@ -69,7 +69,7 @@ pub use error::{CoreError, FaultClass, Result};
 pub use id::{BatchId, CountryId, InstanceId, ItemId, SourceId, TaskTypeId, WorkerId};
 pub use labels::{Complexity, DataType, Goal, LabelSet, Operator};
 pub use provenance::{ErrorBudget, IngestReport, QuarantinedRow, TableReport};
-pub use query::{Accumulator, ScanPass, StreamFold};
+pub use query::{Accumulator, ScanPass};
 pub use rng::stream_seed;
 pub use shard::{ShardPlan, ShardSink};
 pub use task::{Batch, DesignFeatures, TaskType};
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::id::{BatchId, CountryId, InstanceId, ItemId, SourceId, TaskTypeId, WorkerId};
     pub use crate::labels::{Complexity, DataType, Goal, LabelSet, Operator};
     pub use crate::provenance::{ErrorBudget, IngestReport, QuarantinedRow, TableReport};
-    pub use crate::query::{Accumulator, ScanPass, StreamFold};
+    pub use crate::query::{Accumulator, ScanPass};
     pub use crate::rng::stream_seed;
     pub use crate::shard::{ShardPlan, ShardSink};
     pub use crate::task::{Batch, DesignFeatures, TaskType};

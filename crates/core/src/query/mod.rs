@@ -10,7 +10,7 @@
 
 pub mod scan;
 
-pub use scan::{Accumulator, ScanPass, StreamFold};
+pub use scan::{Accumulator, ScanPass};
 
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::id::{BatchId, SourceId};

@@ -24,30 +24,41 @@
 //! Threads only decide *who* computes a chunk, not *what* is computed or
 //! *in which order* results combine.
 //!
-//! Chunk partials are computed and merged in fixed windows of
-//! `MERGE_WINDOW` chunks, so at most one window of partials is resident
-//! however long the table is. Windows merge in the same chunk order, so
-//! the window size is bit-invisible too.
+//! ## The pipeline
+//!
+//! Both entry points run one engine. The calling thread pulls shards
+//! from the input (for a snapshot: reads, checksums and decodes them) and
+//! publishes each; the pool's width of scoped fold threads take chunks
+//! one at a time; and a single merge step folds every finished partial
+//! into the running total in global chunk order, run by whichever fold
+//! thread finds the total free. Two bounds keep memory flat: a fold
+//! thread starts chunk `c` only while `c` is fewer than `AHEAD × width`
+//! chunks past the merge frontier, and the caller reads shard `s + 2`
+//! only after shard `s` has merged, so at most two shards are resident —
+//! the one being folded and the one being read. Neither bound changes
+//! what merges or in which order, so both are bit-invisible.
 //!
 //! ## Shard reduction
 //!
 //! Sharding composes with the same discipline (DESIGN.md §15): a streamed
-//! scan ([`ScanPass::run_stream`], [`StreamFold`]) folds each shard's
-//! chunks exactly as above and merges **chunk-level** partials into one
-//! running total in global chunk order. Because shard boundaries are
-//! always [`ScanPass::CHUNK`] multiples (see [`crate::shard::ShardPlan`]),
-//! the chunk decomposition — and therefore every float-merge pairing — is
+//! scan ([`ScanPass::run_stream`]) folds each shard's chunks exactly as
+//! above and merges **chunk-level** partials into one running total in
+//! global chunk order. Because shard boundaries are always
+//! [`ScanPass::CHUNK`] multiples (see [`crate::shard::ShardPlan`]), the
+//! chunk decomposition — and therefore every float-merge pairing — is
 //! *identical* to the monolithic scan: shard count is bit-invisible by
 //! construction, not by accident. The merge unit is the fixed chunk;
 //! shards only bound how many rows are resident at once.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
-
-use rayon::prelude::*;
+use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::dataset::{Dataset, InstanceColumns, InstanceRef};
 use crate::id::InstanceId;
-use crate::shard::ShardSink;
 
 thread_local! {
     /// Full-table scans started on this thread; a diagnostic aid for
@@ -61,9 +72,10 @@ fn count_scan() {
     FULL_SCANS.with(|n| n.set(n.get() + 1));
 }
 
-/// Chunk partials folded in parallel and merged before the next window
-/// starts: bounds resident partials to this many per scan.
-const MERGE_WINDOW: usize = 64;
+/// Chunks each fold thread may run ahead of the merge: at most
+/// `AHEAD × width` chunk partials are outstanding (folding or waiting to
+/// merge) at any time.
+const AHEAD: usize = 2;
 
 /// A streaming aggregate computed in one pass over the instance table.
 ///
@@ -141,73 +153,69 @@ impl ScanPass {
 
     /// Runs `proto` over every instance of `ds` and returns its output.
     pub fn run<A: Accumulator>(ds: &Dataset, proto: &A) -> A::Output {
-        count_scan();
-        let mut total = proto.init();
-        Self::fold_range(ds, &ds.instances, 0, 0..ds.instances.len(), proto, &mut total);
-        total.finish(ds)
+        let table = std::iter::once(Ok::<_, Infallible>((0, &ds.instances)));
+        match Self::pipeline(ds, proto, table) {
+            Ok(out) => out,
+            Err(never) => match never {},
+        }
     }
 
     /// Runs `proto` over a stream of owned shards — `(global_base, rows)`
     /// in ascending base order, each base a [`CHUNK`](Self::CHUNK)
-    /// multiple — dropping each shard after folding it, so peak memory is
-    /// one shard plus accumulator state. This is the zero-copy snapshot
-    /// load path: shards come straight off per-shard file sections and
-    /// never assemble into a full table.
+    /// multiple. The calling thread pulls the next shard while the pool
+    /// folds the previous one, and at most two shards are resident, so
+    /// peak memory is two shards plus accumulator state. This is the
+    /// zero-copy snapshot load path: shards come straight off per-shard
+    /// file sections and never assemble into a full table.
     ///
-    /// The first `Err` from the stream aborts the scan and is returned.
+    /// The first `Err` from the stream stops the scan; it is returned once
+    /// every fold thread has finished.
     ///
     /// # Panics
     /// When a shard's base is not chunk-aligned or not strictly after the
     /// previous shard's rows (out-of-order merges would change float
-    /// pairings).
+    /// pairings), and when an accumulator panics.
     pub fn run_stream<A: Accumulator, E>(
         ds: &Dataset,
         proto: &A,
         shards: impl Iterator<Item = Result<(usize, InstanceColumns), E>>,
     ) -> Result<A::Output, E> {
-        let mut fold = StreamFold::new(ds, proto);
-        for item in shards {
-            let (base, cols) = item?;
-            fold.flush(base, &cols).expect("StreamFold never fails");
-        }
-        Ok(fold.finish())
+        Self::pipeline(ds, proto, shards)
     }
 
-    /// Folds local rows `range` of `cols` (global ids offset by `base`)
-    /// into `total`: chunk partials computed in parallel one
-    /// `MERGE_WINDOW` at a time, merged sequentially in chunk order. Every
-    /// public entry point reduces to this, so the merge order — hence
-    /// every float bit — is shared by the monolithic and streamed scans.
-    fn fold_range<A: Accumulator>(
+    /// The one engine behind [`run`](Self::run) and
+    /// [`run_stream`](Self::run_stream): the calling thread feeds shards,
+    /// `width` scoped threads fold and merge chunks (module docs).
+    fn pipeline<A, C, E>(
         ds: &Dataset,
-        cols: &InstanceColumns,
-        base: usize,
-        range: std::ops::Range<usize>,
         proto: &A,
-        total: &mut A,
-    ) {
-        assert_eq!(
-            (base + range.start) % Self::CHUNK,
-            0,
-            "shard boundaries must be CHUNK-aligned to keep merge order fixed"
-        );
-        let (lo, hi) = (range.start, range.end);
-        let chunks: Vec<(usize, usize)> = (0..(hi - lo).div_ceil(Self::CHUNK))
-            .map(|c| (lo + c * Self::CHUNK, (lo + (c + 1) * Self::CHUNK).min(hi)))
-            .collect();
-        for window in chunks.chunks(MERGE_WINDOW) {
-            let parts: Vec<A> = window
-                .par_iter()
-                .map(|&(clo, chi)| {
-                    let mut acc = proto.init();
-                    acc.accept_chunk(ds, base, cols, clo..chi);
-                    acc
-                })
-                .collect();
-            for part in parts {
-                total.merge(part);
+        shards: impl Iterator<Item = Result<(usize, C), E>>,
+    ) -> Result<A::Output, E>
+    where
+        A: Accumulator,
+        C: Borrow<InstanceColumns> + Send + Sync,
+    {
+        count_scan();
+        // The calling thread's width: `ThreadPool::install` is
+        // thread-local, so the fold threads would not see it.
+        let width = rayon::current_num_threads().max(1);
+        let pipe = Pipeline::new(proto.init(), AHEAD * width);
+        std::thread::scope(|scope| {
+            let folds: Vec<_> = (0..width).map(|_| scope.spawn(|| pipe.fold(ds, proto))).collect();
+            let fed = pipe.feed(shards);
+            // Join by hand so a fold's panic resurfaces with its own payload.
+            let mut panic = None;
+            for fold in folds {
+                if let Err(payload) = fold.join() {
+                    panic.get_or_insert(payload);
+                }
             }
-        }
+            if let Some(payload) = panic {
+                std::panic::resume_unwind(payload);
+            }
+            fed
+        })?;
+        Ok(pipe.into_total().finish(ds))
     }
 
     /// Number of full-table scans started on the calling thread so far.
@@ -216,54 +224,203 @@ impl ScanPass {
     }
 }
 
-/// A [`ShardSink`] that folds arriving shards into an [`Accumulator`] —
-/// the push-style dual of [`ScanPass::run_stream`], for producers (the
-/// simulator's shard-flushing build) that *deliver* shards rather than
-/// being iterated.
-///
-/// Each flushed shard goes through the same `fold_range` (chunk partials
-/// in parallel, merged sequentially in global chunk order) as
-/// [`ScanPass::run`], so the finished output is bit-identical to a
-/// monolithic scan over the concatenated rows. Constructing a
-/// `StreamFold` counts as one full-table scan toward
-/// [`ScanPass::full_scan_count`] on the constructing thread.
-pub struct StreamFold<'a, A: Accumulator> {
-    ds: &'a Dataset,
-    proto: &'a A,
-    total: A,
-    next_base: usize,
+/// State shared by the calling thread and the fold threads of one scan.
+struct Pipeline<C, A> {
+    state: Mutex<State<C, A>>,
+    /// Signalled on every publish, merge step, close and abort.
+    progress: Condvar,
+    /// Most chunks handed out past the merge frontier.
+    ahead: usize,
 }
 
-impl<'a, A: Accumulator> StreamFold<'a, A> {
-    /// A fold ready to accept shard 0. `ds` supplies entity context only;
-    /// the rows come from the flushed shards.
-    pub fn new(ds: &'a Dataset, proto: &'a A) -> StreamFold<'a, A> {
-        count_scan();
-        StreamFold { ds, proto, total: proto.init(), next_base: 0 }
+struct State<C, A> {
+    /// Published shards with chunks still to hand out, as `(base, rows)`.
+    queue: VecDeque<(usize, Arc<C>)>,
+    /// Offset into the front shard of the next chunk to hand out.
+    next_row: usize,
+    /// Folded partials waiting for every earlier chunk, by chunk index.
+    ready: BTreeMap<usize, A>,
+    /// Global index of the next chunk to merge; every earlier one is in
+    /// `total`.
+    merged: usize,
+    /// The running total; `None` while a fold thread merges into it.
+    total: Option<A>,
+    /// The caller has published its last shard.
+    closed: bool,
+    /// A fold panicked or the input failed: hand out no more chunks.
+    abort: bool,
+}
+
+/// One chunk to fold: its global index and rows `range` of a shard based
+/// at global row `base`.
+struct Job<C> {
+    chunk: usize,
+    base: usize,
+    rows: Arc<C>,
+    range: Range<usize>,
+}
+
+impl<C, A> Pipeline<C, A> {
+    fn lock(&self) -> MutexGuard<'_, State<C, A>> {
+        // No accumulator code runs under the lock and every update is a
+        // plain field write, so the state is whole even if a thread
+        // panicked while holding it; the scan re-raises that panic once
+        // every thread has stopped.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Rows folded so far (= the base the next shard must start at).
-    pub fn rows(&self) -> usize {
-        self.next_base
+    fn wait<'a>(&self, state: MutexGuard<'a, State<C, A>>) -> MutexGuard<'a, State<C, A>> {
+        self.progress.wait(state).unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Shapes the merged state into the accumulator's final output.
-    pub fn finish(self) -> A::Output {
-        self.total.finish(self.ds)
+    /// Stops the scan: no more chunks are handed out and every waiter
+    /// wakes up.
+    fn abort(&self) {
+        self.lock().abort = true;
+        self.progress.notify_all();
     }
 }
 
-impl<A: Accumulator> ShardSink for StreamFold<'_, A> {
-    type Error = std::convert::Infallible;
+/// Aborts the scan if the thread holding it unwinds, so no other thread
+/// waits forever for a chunk that will never merge.
+struct AbortOnUnwind<'a, C, A>(&'a Pipeline<C, A>);
 
-    /// # Panics
-    /// When `base` is not chunk-aligned or not exactly [`rows`](Self::rows)
-    /// (out-of-order merges would change float pairings).
-    fn flush(&mut self, base: usize, shard: &InstanceColumns) -> Result<(), Self::Error> {
-        assert_eq!(base, self.next_base, "shards must arrive contiguously in ascending order");
-        ScanPass::fold_range(self.ds, shard, base, 0..shard.len(), self.proto, &mut self.total);
-        self.next_base = base + shard.len();
+impl<C, A> Drop for AbortOnUnwind<'_, C, A> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort();
+        }
+    }
+}
+
+impl<C: Borrow<InstanceColumns>, A: Accumulator> Pipeline<C, A> {
+    fn new(total: A, ahead: usize) -> Self {
+        Pipeline {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                next_row: 0,
+                ready: BTreeMap::new(),
+                merged: 0,
+                total: Some(total),
+                closed: false,
+                abort: false,
+            }),
+            progress: Condvar::new(),
+            ahead,
+        }
+    }
+
+    /// The calling thread's side: pulls, checks and publishes shards in
+    /// order. Shard `s + 2` is pulled only after shard `s` has merged.
+    fn feed<E>(&self, mut shards: impl Iterator<Item = Result<(usize, C), E>>) -> Result<(), E> {
+        let _guard = AbortOnUnwind(self);
+        let mut next_base = 0;
+        // One past the last chunk of each of the two shards published
+        // last, older first (0 before there are two).
+        let mut ends = (0, 0);
+        loop {
+            let mut state = self.lock();
+            while state.merged < ends.0 && !state.abort {
+                state = self.wait(state);
+            }
+            if state.abort {
+                // A fold panicked; the caller re-raises its panic.
+                return Ok(());
+            }
+            drop(state);
+            let Some(item) = shards.next() else { break };
+            let (base, rows) = match item {
+                Ok(shard) => shard,
+                Err(e) => {
+                    self.abort();
+                    return Err(e);
+                }
+            };
+            assert_eq!(base, next_base, "shards must arrive contiguously in ascending order");
+            assert_eq!(
+                base % ScanPass::CHUNK,
+                0,
+                "shard boundaries must be CHUNK-aligned to keep merge order fixed"
+            );
+            next_base = base + rows.borrow().len();
+            if next_base == base {
+                continue;
+            }
+            ends = (ends.1, next_base.div_ceil(ScanPass::CHUNK));
+            self.lock().queue.push_back((base, Arc::new(rows)));
+            self.progress.notify_all();
+        }
+        self.lock().closed = true;
+        self.progress.notify_all();
         Ok(())
+    }
+
+    /// A fold thread: folds chunks into fresh partials until the input
+    /// is exhausted, merging each as soon as its turn comes.
+    fn fold(&self, ds: &Dataset, proto: &A) {
+        let _guard = AbortOnUnwind(self);
+        while let Some(Job { chunk, base, rows, range }) = self.next_job() {
+            let mut part = proto.init();
+            part.accept_chunk(ds, base, (*rows).borrow(), range);
+            drop(rows);
+            self.merge(chunk, part);
+        }
+    }
+
+    /// Blocks until a chunk may be folded; `None` once none is left.
+    fn next_job(&self) -> Option<Job<C>> {
+        let mut state = self.lock();
+        loop {
+            if state.abort {
+                return None;
+            }
+            if let Some((base, rows)) = state.queue.front() {
+                let (base, lo) = (*base, state.next_row);
+                let chunk = (base + lo) / ScanPass::CHUNK;
+                if chunk < state.merged + self.ahead {
+                    let rows = Arc::clone(rows);
+                    let len = (*rows).borrow().len();
+                    let hi = (lo + ScanPass::CHUNK).min(len);
+                    if hi == len {
+                        state.queue.pop_front();
+                        state.next_row = 0;
+                    } else {
+                        state.next_row = hi;
+                    }
+                    return Some(Job { chunk, base, rows, range: lo..hi });
+                }
+            } else if state.closed {
+                return None;
+            }
+            state = self.wait(state);
+        }
+    }
+
+    /// Files `part` as chunk `chunk`'s partial, then merges partials into
+    /// the total for as long as the next one in chunk order is ready.
+    /// While another thread holds the total, that thread merges `part`
+    /// before it lets go.
+    fn merge(&self, chunk: usize, part: A) {
+        let mut state = self.lock();
+        state.ready.insert(chunk, part);
+        while state.total.is_some() {
+            let next = state.merged;
+            let Some(part) = state.ready.remove(&next) else { return };
+            let mut total = state.total.take().expect("checked by the loop");
+            drop(state);
+            total.merge(part);
+            state = self.lock();
+            state.merged = next + 1;
+            state.total = Some(total);
+            self.progress.notify_all();
+        }
+    }
+
+    /// The merged total, once every fold thread has finished.
+    fn into_total(self) -> A {
+        let state = self.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        debug_assert!(state.ready.is_empty(), "every partial merged");
+        state.total.expect("no merge is in flight once the fold threads are joined")
     }
 }
 
@@ -534,18 +691,22 @@ mod tests {
     }
 
     #[test]
-    fn merge_window_is_bit_invisible() {
-        // More chunks than one merge window, plus a remainder: windowed
-        // merging must equal one sequential left-to-right chunk fold.
-        let ds = dataset((MERGE_WINDOW + 1) * ScanPass::CHUNK + 5);
+    fn long_tables_merge_in_chunk_order_at_any_width() {
+        // Many more chunks than the fold threads may run ahead of the
+        // merge, plus a remainder: the pipelined merge must equal one
+        // sequential left-to-right chunk fold at every width.
+        let ds = dataset(65 * ScanPass::CHUNK + 5);
         let mut manual = 0.0f64;
         for lo in (0..ds.instances.len()).step_by(ScanPass::CHUNK) {
             let hi = (lo + ScanPass::CHUNK).min(ds.instances.len());
             let part = ds.instances.trust_col()[lo..hi].iter().fold(0.0, |a, &t| a + f64::from(t));
             manual += part;
         }
-        let got = ScanPass::run(&ds, &TrustSum::default());
-        assert_eq!(got.to_bits(), manual.to_bits());
+        for threads in [1, 2, 3] {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let got = pool.install(|| ScanPass::run(&ds, &TrustSum::default()));
+            assert_eq!(got.to_bits(), manual.to_bits(), "threads = {threads}");
+        }
     }
 
     #[test]
@@ -578,33 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_fold_sink_matches_monolithic_scan() {
-        let ds = dataset(3 * ScanPass::CHUNK + 77);
-        let baseline = ScanPass::run(&ds, &TrustSum::default()).to_bits();
-        for shards in [1, 2, 5] {
-            let proto = TrustSum::default();
-            let before = ScanPass::full_scan_count();
-            let mut fold = StreamFold::new(&ds, &proto);
-            for (base, shard) in pieces(&ds, shards) {
-                assert_eq!(fold.rows(), base);
-                fold.flush(base, &shard).unwrap();
-            }
-            assert_eq!(fold.rows(), ds.instances.len());
-            assert_eq!(fold.finish().to_bits(), baseline, "shards={shards}");
-            assert_eq!(ScanPass::full_scan_count() - before, 1, "fold = one pass");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending order")]
-    fn stream_fold_rejects_gaps() {
-        let ds = dataset(ScanPass::CHUNK);
-        let proto = TrustSum::default();
-        let mut fold = StreamFold::new(&ds, &proto);
-        let _ = fold.flush(ScanPass::CHUNK, &ds.instances);
-    }
-
-    #[test]
     fn stream_errors_abort_the_scan() {
         let ds = dataset(ScanPass::CHUNK);
         let blocks = vec![Ok((0, ds.instances.clone())), Err("disk died")];
@@ -629,5 +763,370 @@ mod tests {
         let ds = dataset(ScanPass::CHUNK);
         let blocks = vec![Ok::<_, ()>((ScanPass::CHUNK, ds.instances.clone()))];
         let _ = ScanPass::run_stream(&ds, &TrustSum::default(), blocks.into_iter());
+    }
+
+    // ---- pipeline interleavings -----------------------------------------
+    //
+    // Each test forces an order of events across the calling thread and
+    // the fold threads with counters the accumulator and the shard
+    // iterator share. A wait that never ends fails the test after `HANG`
+    // instead of hanging it.
+
+    const HANG: std::time::Duration = std::time::Duration::from_secs(60);
+
+    /// A count that threads bump and wait on.
+    #[derive(Default)]
+    struct Count {
+        n: Mutex<usize>,
+        changed: Condvar,
+    }
+
+    impl Count {
+        fn bump(&self) {
+            *self.n.lock().unwrap() += 1;
+            self.changed.notify_all();
+        }
+
+        fn set(&self, n: usize) {
+            *self.n.lock().unwrap() = n;
+            self.changed.notify_all();
+        }
+
+        fn get(&self) -> usize {
+            *self.n.lock().unwrap()
+        }
+
+        /// Waits until the count reaches `n` or `limit` passes; true if
+        /// it reached `n`.
+        fn wait_until(&self, n: usize, limit: std::time::Duration) -> bool {
+            let guard = self.n.lock().unwrap();
+            let (guard, _) = self.changed.wait_timeout_while(guard, limit, |k| *k < n).unwrap();
+            *guard >= n
+        }
+
+        /// Waits until the count reaches `n`; panics with `what` if it
+        /// never does.
+        fn wait_for(&self, n: usize, what: &str) {
+            assert!(self.wait_until(n, HANG), "{what}");
+        }
+    }
+
+    /// Runs `f` on its own thread: its result or panic, or a test failure
+    /// if it has not finished after `HANG`.
+    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> std::thread::Result<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        });
+        rx.recv_timeout(HANG).expect("the scan hung")
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    fn chunk_of(base: usize, range: &std::ops::Range<usize>) -> usize {
+        (base + range.start) / ScanPass::CHUNK
+    }
+
+    /// [`TrustSum`] that also logs the chunks it covers in merge order;
+    /// chunk 0's fold waits until chunk 1's has finished.
+    struct ChunkLog {
+        sum: f64,
+        chunks: Vec<usize>,
+        chunk1_done: Arc<Count>,
+    }
+
+    impl Accumulator for ChunkLog {
+        type Output = (f64, Vec<usize>);
+
+        fn init(&self) -> Self {
+            ChunkLog { sum: 0.0, chunks: Vec::new(), chunk1_done: Arc::clone(&self.chunk1_done) }
+        }
+
+        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
+            self.sum += f64::from(row.trust);
+        }
+
+        fn accept_chunk(
+            &mut self,
+            ds: &Dataset,
+            base: usize,
+            cols: &InstanceColumns,
+            range: std::ops::Range<usize>,
+        ) {
+            let chunk = chunk_of(base, &range);
+            if chunk == 0 {
+                self.chunk1_done.wait_for(1, "chunk 1 was not folded beside chunk 0");
+            }
+            for i in range {
+                self.accept(ds, InstanceId::from_usize(base + i), cols.row(i));
+            }
+            self.chunks.push(chunk);
+            if chunk == 1 {
+                self.chunk1_done.bump();
+            }
+        }
+
+        fn merge(&mut self, other: Self) {
+            self.sum += other.sum;
+            self.chunks.extend(other.chunks);
+        }
+
+        fn finish(self, _ds: &Dataset) -> (f64, Vec<usize>) {
+            (self.sum, self.chunks)
+        }
+    }
+
+    #[test]
+    fn partials_merge_in_chunk_order_not_completion_order() {
+        // Chunk 1 finishes before chunk 0 does; merging partials as they
+        // complete would put it first.
+        let ds = dataset(4 * ScanPass::CHUNK + 17);
+        let mut sequential = 0.0f64;
+        for lo in (0..ds.instances.len()).step_by(ScanPass::CHUNK) {
+            let hi = (lo + ScanPass::CHUNK).min(ds.instances.len());
+            sequential +=
+                ds.instances.trust_col()[lo..hi].iter().fold(0.0, |a, &t| a + f64::from(t));
+        }
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        for shards in [None, Some(1), Some(3)] {
+            let proto =
+                ChunkLog { sum: 0.0, chunks: Vec::new(), chunk1_done: Arc::new(Count::default()) };
+            let (sum, chunks) = pool.install(|| match shards {
+                None => ScanPass::run(&ds, &proto),
+                Some(n) => {
+                    let blocks = pieces(&ds, n).into_iter().map(Ok::<_, ()>);
+                    ScanPass::run_stream(&ds, &proto, blocks).unwrap()
+                }
+            });
+            assert_eq!(chunks, vec![0, 1, 2, 3, 4], "shards = {shards:?}");
+            assert_eq!(sum.to_bits(), sequential.to_bits(), "shards = {shards:?}");
+        }
+    }
+
+    /// What the residency test's accumulator and shard iterator share.
+    #[derive(Default)]
+    struct Progress {
+        /// Rows `0..merged_rows` are in the total.
+        merged_rows: Count,
+        /// Chunk folds started and partials merged.
+        started: Count,
+        merged: Count,
+        /// Shards the scan has pulled.
+        pulled: Count,
+    }
+
+    /// Tracks how far the total reaches and how many partials are out.
+    /// Its fold of chunk 0 holds shard 0 unmerged until shard 1 has been
+    /// pulled, and then until shard 2 has been too — which a bounded
+    /// engine never does first — or `GRACE` has passed.
+    struct Reach {
+        end: usize,
+        width: usize,
+        progress: Arc<Progress>,
+    }
+
+    /// How long chunk 0's fold gives an unbounded engine to pull shard 2.
+    /// A bounded one waits this out once per run.
+    const GRACE: std::time::Duration = std::time::Duration::from_millis(100);
+
+    impl Accumulator for Reach {
+        type Output = usize;
+
+        fn init(&self) -> Self {
+            Reach { end: 0, width: self.width, progress: Arc::clone(&self.progress) }
+        }
+
+        fn accept(&mut self, _ds: &Dataset, id: InstanceId, _row: InstanceRef<'_>) {
+            self.end = id.index() + 1;
+        }
+
+        fn accept_chunk(
+            &mut self,
+            _ds: &Dataset,
+            base: usize,
+            _cols: &InstanceColumns,
+            range: std::ops::Range<usize>,
+        ) {
+            let p = &self.progress;
+            p.started.bump();
+            let out = p.started.get() - p.merged.get();
+            assert!(out <= AHEAD * self.width, "{out} partials outstanding");
+            if chunk_of(base, &range) == 0 {
+                // The caller reads the next shard while the pool folds …
+                p.pulled.wait_for(2, "shard 1 was not read while shard 0 folded");
+                // … but not the one after: the iterator's check fails if so.
+                p.pulled.wait_until(3, GRACE);
+            }
+            self.end = base + range.end;
+        }
+
+        fn merge(&mut self, other: Self) {
+            self.end = other.end;
+            let p = &self.progress;
+            p.merged.bump();
+            p.merged_rows.set(self.end);
+        }
+
+        fn finish(self, _ds: &Dataset) -> usize {
+            self.end
+        }
+    }
+
+    #[test]
+    fn at_most_two_shards_are_resident() {
+        // Four shards of three chunks each: the caller may read shard
+        // s + 1 while shard s folds, but never shard s + 2 before shard s
+        // has fully merged.
+        let ds = dataset(12 * ScanPass::CHUNK);
+        for width in [1, 2, 3] {
+            let blocks = pieces(&ds, 4);
+            let ends: Vec<usize> = blocks.iter().map(|(base, rows)| base + rows.len()).collect();
+            assert_eq!(ends.len(), 4);
+            let progress = Arc::new(Progress::default());
+            let proto = Reach { end: 0, width, progress: Arc::clone(&progress) };
+            let shards = blocks.into_iter().enumerate().map(|(k, block)| {
+                if k >= 2 {
+                    let (need, have) = (ends[k - 2], progress.merged_rows.get());
+                    assert!(have >= need, "shard {k} read with rows {have}..{need} unmerged");
+                }
+                progress.pulled.bump();
+                Ok::<_, ()>(block)
+            });
+            let pool = ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            let end = pool.install(|| ScanPass::run_stream(&ds, &proto, shards)).unwrap();
+            assert_eq!(end, ds.instances.len(), "width = {width}");
+            assert_eq!(progress.merged.get(), 12, "width = {width}");
+        }
+    }
+
+    /// Panics in its fold of chunk 0, but only once the other fold thread
+    /// has run as far ahead of the merge as it may.
+    struct Boom {
+        width: usize,
+        folded: Arc<Count>,
+    }
+
+    impl Accumulator for Boom {
+        type Output = ();
+
+        fn init(&self) -> Self {
+            Boom { width: self.width, folded: Arc::clone(&self.folded) }
+        }
+
+        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, _row: InstanceRef<'_>) {}
+
+        fn accept_chunk(
+            &mut self,
+            _ds: &Dataset,
+            base: usize,
+            _cols: &InstanceColumns,
+            range: std::ops::Range<usize>,
+        ) {
+            if chunk_of(base, &range) == 0 {
+                let ahead = AHEAD * self.width - 1;
+                self.folded.wait_for(ahead, "the other fold threads did not run ahead");
+                panic!("fold failed on chunk 0");
+            }
+            self.folded.bump();
+        }
+
+        fn merge(&mut self, _other: Self) {}
+
+        fn finish(self, _ds: &Dataset) {}
+    }
+
+    #[test]
+    fn a_panicking_fold_fails_the_scan_instead_of_hanging_it() {
+        // The fold threads past chunk 0 end up waiting for the merge to
+        // catch up, which it never will: the panic must wake them.
+        for stream in [false, true] {
+            let got = within(move || {
+                let ds = dataset(3 * AHEAD * ScanPass::CHUNK);
+                let proto = Boom { width: 2, folded: Arc::new(Count::default()) };
+                let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+                pool.install(|| {
+                    if stream {
+                        let blocks = pieces(&ds, 3).into_iter().map(Ok::<_, ()>);
+                        let _ = ScanPass::run_stream(&ds, &proto, blocks);
+                    } else {
+                        ScanPass::run(&ds, &proto);
+                    }
+                });
+            });
+            let payload = got.expect_err("the scan must panic");
+            assert_eq!(panic_message(&*payload), "fold failed on chunk 0", "stream = {stream}");
+        }
+    }
+
+    /// Counts folds started and finished; the fold of chunk 2 waits until
+    /// the input has failed.
+    struct Joined {
+        started: Arc<Count>,
+        finished: Arc<Count>,
+        failed: Arc<Count>,
+    }
+
+    impl Accumulator for Joined {
+        type Output = ();
+
+        fn init(&self) -> Self {
+            Joined {
+                started: Arc::clone(&self.started),
+                finished: Arc::clone(&self.finished),
+                failed: Arc::clone(&self.failed),
+            }
+        }
+
+        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, _row: InstanceRef<'_>) {}
+
+        fn accept_chunk(
+            &mut self,
+            _ds: &Dataset,
+            base: usize,
+            _cols: &InstanceColumns,
+            range: std::ops::Range<usize>,
+        ) {
+            self.started.bump();
+            if chunk_of(base, &range) == 2 {
+                self.failed.wait_for(1, "the input never failed");
+            }
+            self.finished.bump();
+        }
+
+        fn merge(&mut self, _other: Self) {}
+
+        fn finish(self, _ds: &Dataset) {}
+    }
+
+    #[test]
+    fn an_input_error_is_returned_after_every_fold_finishes() {
+        let got = within(|| {
+            let ds = dataset(3 * ScanPass::CHUNK);
+            let proto = Joined {
+                started: Arc::new(Count::default()),
+                finished: Arc::new(Count::default()),
+                failed: Arc::new(Count::default()),
+            };
+            let mut blocks: Vec<_> = pieces(&ds, 3).into_iter().map(Ok).collect();
+            assert_eq!(blocks.len(), 3);
+            blocks.push(Err("disk died"));
+            let shards = blocks.into_iter().inspect(|item| {
+                if item.is_err() {
+                    proto.failed.bump();
+                }
+            });
+            let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+            let got = pool.install(|| ScanPass::run_stream(&ds, &proto, shards));
+            (got, proto.started.get(), proto.finished.get())
+        });
+        let (got, started, finished) = got.expect("the scan must not panic");
+        assert_eq!(got, Err("disk died"));
+        assert_eq!(started, finished, "a fold outlived the scan");
     }
 }

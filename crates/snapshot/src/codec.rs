@@ -343,10 +343,13 @@ pub(crate) fn encode_instances(cols: &InstanceColumns, lo: usize, hi: usize) -> 
     w.into_bytes()
 }
 
-/// Decodes one shard section, appending its rows onto `out`. Entity
-/// references are bounds-checked against the meta counts so even the
-/// streamed-scan path (which never runs [`Dataset::validate`] over a
-/// materialized table) can trust every id it hands to an accumulator.
+/// Decodes one shard section, appending its rows onto `out`: each column
+/// decodes straight onto the end of `out`'s, so a reused `out` with room
+/// for the rows allocates nothing but text answers. Entity references are
+/// bounds-checked against the meta counts so even the streamed-scan path
+/// (which never runs [`Dataset::validate`] over a materialized table) can
+/// trust every id it hands to an accumulator. On any error `out` keeps
+/// exactly the rows it had.
 pub(crate) fn decode_instances_into(
     bytes: &[u8],
     expected_rows: usize,
@@ -359,56 +362,42 @@ pub(crate) fn decode_instances_into(
     if n != expected_rows {
         return Err(SnapshotError::Corrupt("shard row count"));
     }
-    let mut batch_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        let b = r.u32()?;
-        if b as usize >= n_batches {
+    out.append_columns(n, |c| {
+        let from = c.batch.len();
+        c.batch.extend(words::<4>(&mut r, n)?.map(|b| BatchId::new(u32::from_le_bytes(b))));
+        if c.batch[from..].iter().any(|b| b.index() >= n_batches) {
             return Err(SnapshotError::Corrupt("instance batch reference"));
         }
-        batch_col.push(BatchId::new(b));
-    }
-    let mut item_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        item_col.push(ItemId::new(r.u32()?));
-    }
-    let mut worker_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        let wk = r.u32()?;
-        if wk as usize >= n_workers {
+        c.item.extend(words::<4>(&mut r, n)?.map(|b| ItemId::new(u32::from_le_bytes(b))));
+        c.worker.extend(words::<4>(&mut r, n)?.map(|b| WorkerId::new(u32::from_le_bytes(b))));
+        if c.worker[from..].iter().any(|w| w.index() >= n_workers) {
             return Err(SnapshotError::Corrupt("instance worker reference"));
         }
-        worker_col.push(WorkerId::new(wk));
-    }
-    let mut start_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        start_col.push(Timestamp::from_secs(r.i64()?));
-    }
-    let mut end_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        end_col.push(Timestamp::from_secs(r.i64()?));
-    }
-    let mut trust_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        trust_col.push(r.f32()?);
-    }
-    let mut answer_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        answer_col.push(match r.u8()? {
-            0 => Answer::Choice(r.u16()?),
-            1 => Answer::Text(r.str()?.to_string()),
-            2 => Answer::Skipped,
-            _ => return Err(SnapshotError::Corrupt("answer tag")),
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(SnapshotError::Corrupt("shard trailing bytes"));
-    }
-    let mut shard = InstanceColumns::from_parts(
-        batch_col, item_col, worker_col, start_col, end_col, trust_col, answer_col,
-    )
-    .map_err(|_| SnapshotError::Corrupt("instance column lengths"))?;
-    out.append(&mut shard);
-    Ok(())
+        c.start.extend(words::<8>(&mut r, n)?.map(|b| Timestamp::from_secs(i64::from_le_bytes(b))));
+        c.end.extend(words::<8>(&mut r, n)?.map(|b| Timestamp::from_secs(i64::from_le_bytes(b))));
+        c.trust.extend(words::<4>(&mut r, n)?.map(f32::from_le_bytes));
+        for _ in 0..n {
+            c.answer.push(match r.u8()? {
+                0 => Answer::Choice(r.u16()?),
+                1 => Answer::Text(r.str()?.to_string()),
+                2 => Answer::Skipped,
+                _ => return Err(SnapshotError::Corrupt("answer tag")),
+            });
+        }
+        if r.remaining() != 0 {
+            return Err(SnapshotError::Corrupt("shard trailing bytes"));
+        }
+        Ok(())
+    })
+}
+
+/// The next `n` fixed-width little-endian values of `r`, as byte arrays.
+fn words<'a, const W: usize>(
+    r: &mut ByteReader<'a>,
+    n: usize,
+) -> Result<impl Iterator<Item = [u8; W]> + 'a, SnapshotError> {
+    let bytes = r.take(n * W)?;
+    Ok(bytes.chunks_exact(W).map(|b| b.try_into().expect("chunks_exact yields W bytes")))
 }
 
 fn decode_derived(r: &mut ByteReader<'_>, ds: &Dataset) -> Result<Derived, SnapshotError> {

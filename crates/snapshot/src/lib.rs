@@ -185,6 +185,18 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// Decoded bytes that break a core invariant are a corrupt section.
+impl From<crowd_core::CoreError> for SnapshotError {
+    fn from(e: crowd_core::CoreError) -> Self {
+        match e {
+            crowd_core::CoreError::ColumnLengthMismatch { .. } => {
+                SnapshotError::Corrupt("instance column lengths")
+            }
+            _ => SnapshotError::Corrupt("dataset integrity"),
+        }
+    }
+}
+
 /// The cache key: every [`SimConfig`] knob folded together with the format
 /// version.
 ///

@@ -17,6 +17,8 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
+use crowd_analytics::fused::Fused;
+use crowd_analytics::BatchMetrics;
 use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::query::ScanPass;
 use crowd_core::time::Timestamp;
@@ -125,24 +127,72 @@ fn read_exact_or_truncated(file: &mut File, buf: &mut [u8]) -> Result<(), Snapsh
     })
 }
 
-/// Seeks to, reads, verifies, and decodes one shard section.
-fn read_section(
-    file: &mut File,
+/// The instance sections of an opened snapshot file: the verified shard
+/// directory and the open file they live in. Every read reuses one
+/// section buffer, sized on first use for the largest section.
+pub(crate) struct ShardSections {
+    file: File,
     sections_start: u64,
-    directory: &ShardDirectory,
-    shard: usize,
-    n_batches: usize,
-    n_workers: usize,
-    out: &mut InstanceColumns,
-) -> Result<(), SnapshotError> {
-    let sec = directory.sections()[shard];
-    file.seek(SeekFrom::Start(sections_start + directory.section_offset(shard)))?;
-    let mut buf = vec![0u8; sec.byte_len as usize];
-    read_exact_or_truncated(file, &mut buf)?;
-    if checksum(&buf) != sec.checksum {
-        return Err(SnapshotError::ShardCorrupt { shard });
+    directory: ShardDirectory,
+    time_max: Option<Timestamp>,
+    buf: Vec<u8>,
+}
+
+impl ShardSections {
+    /// Seeks to, reads, verifies, and decodes shard `shard`, appending its
+    /// rows onto `out`; entity references must index `n_batches` batches
+    /// and `n_workers` workers.
+    fn read_into(
+        &mut self,
+        shard: usize,
+        n_batches: usize,
+        n_workers: usize,
+        out: &mut InstanceColumns,
+    ) -> Result<(), SnapshotError> {
+        let Some(&sec) = self.directory.sections().get(shard) else {
+            return Err(SnapshotError::Corrupt("shard index out of range"));
+        };
+        if self.buf.capacity() == 0 {
+            // Sized once for the largest section, so no later shard
+            // regrows it. `open` bounded every length by the file size.
+            let largest = self.directory.sections().iter().map(|s| s.byte_len).max();
+            self.buf.reserve_exact(largest.unwrap_or(0) as usize);
+        }
+        self.buf.resize(sec.byte_len as usize, 0);
+        self.file
+            .seek(SeekFrom::Start(self.sections_start + self.directory.section_offset(shard)))?;
+        read_exact_or_truncated(&mut self.file, &mut self.buf)?;
+        if checksum(&self.buf) != sec.checksum {
+            return Err(SnapshotError::ShardCorrupt { shard });
+        }
+        codec::decode_instances_into(&self.buf, sec.rows as usize, n_batches, n_workers, out)
     }
-    codec::decode_instances_into(&buf, sec.rows as usize, n_batches, n_workers, out)
+
+    /// Streams every shard through the fused scan: the calling thread
+    /// reads and decodes the next shard while the pool folds the last.
+    /// `entities` must be the tables this file's meta decoded to (shard
+    /// references are checked against them) and `metrics` its persisted
+    /// enrichment.
+    pub(crate) fn fused(
+        &mut self,
+        entities: &Dataset,
+        metrics: &[BatchMetrics],
+    ) -> Result<Fused, SnapshotError> {
+        let (n_batches, n_workers) = (entities.batches.len(), entities.workers.len());
+        let time_max = self.time_max;
+        let n_shards = self.directory.n_shards();
+        let stream = (0..n_shards).map(|k| {
+            let base = self.directory.base_row(k) as usize;
+            let mut cols = InstanceColumns::new();
+            let read = self.read_into(k, n_batches, n_workers, &mut cols);
+            if k + 1 == n_shards {
+                // The folds still to run need only the decoded columns.
+                self.buf = Vec::new();
+            }
+            read.map(|()| (base, cols))
+        });
+        crowd_analytics::fused::compute_streamed(entities, metrics, time_max, stream)
+    }
 }
 
 /// Lazily reads a snapshot file shard by shard.
@@ -152,19 +202,16 @@ fn read_section(
 /// instance sections stay on disk until a `read_shard*` call or a
 /// streamed [`fused`](ShardedSnapshotReader::fused) scan asks for them.
 pub struct ShardedSnapshotReader {
-    file: File,
-    sections_start: u64,
     entities: Dataset,
     derived: Option<Derived>,
-    directory: ShardDirectory,
-    time_max: Option<Timestamp>,
+    sections: ShardSections,
 }
 
 impl std::fmt::Debug for ShardedSnapshotReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSnapshotReader")
-            .field("n_shards", &self.directory.n_shards())
-            .field("n_rows", &self.directory.n_rows())
+            .field("n_shards", &self.sections.directory.n_shards())
+            .field("n_rows", &self.sections.directory.n_rows())
             .field("derived", &self.derived.is_some())
             .finish_non_exhaustive()
     }
@@ -201,18 +248,21 @@ impl ShardedSnapshotReader {
             std::cmp::Ordering::Equal => {}
         }
         Ok(ShardedSnapshotReader {
-            file,
-            sections_start,
             entities: decoded.entities,
             derived: decoded.derived,
-            directory: decoded.directory,
-            time_max: decoded.time_max,
+            sections: ShardSections {
+                file,
+                sections_start,
+                directory: decoded.directory,
+                time_max: decoded.time_max,
+                buf: Vec::new(),
+            },
         })
     }
 
     /// The shard directory.
     pub fn directory(&self) -> &ShardDirectory {
-        &self.directory
+        &self.sections.directory
     }
 
     /// The entity context (sources, countries, workers, task types,
@@ -229,7 +279,7 @@ impl ShardedSnapshotReader {
     /// The dataset's `time_max` as persisted at encode time (covers
     /// instance end times the entity tables alone cannot reproduce).
     pub fn time_max(&self) -> Option<Timestamp> {
-        self.time_max
+        self.sections.time_max
     }
 
     /// Reads, verifies, and decodes one shard's instance rows.
@@ -239,77 +289,59 @@ impl ShardedSnapshotReader {
         Ok(out)
     }
 
-    /// [`read_shard`](Self::read_shard), appending into an existing column
-    /// set — the full-load path reserves once and appends every shard, so
-    /// peak memory is the final table plus a single section buffer.
+    /// [`read_shard`](Self::read_shard), appending onto an existing column
+    /// set. The section buffer is the reader's own and is reused, and the
+    /// rows decode straight onto `out`'s columns, so reading shard after
+    /// shard into one truncated `out` allocates nothing of section size.
     pub fn read_shard_into(
         &mut self,
         shard: usize,
         out: &mut InstanceColumns,
     ) -> Result<(), SnapshotError> {
-        if shard >= self.directory.n_shards() {
-            return Err(SnapshotError::Corrupt("shard index out of range"));
-        }
-        read_section(
-            &mut self.file,
-            self.sections_start,
-            &self.directory,
-            shard,
-            self.entities.batches.len(),
-            self.entities.workers.len(),
-            out,
-        )
+        let (n_batches, n_workers) = (self.entities.batches.len(), self.entities.workers.len());
+        self.sections.read_into(shard, n_batches, n_workers, out)
     }
 
     /// Runs the fused analytics pass over the shards *without ever
     /// materializing the full instance table*: sections stream through
-    /// [`ScanPass::run_stream`] one at a time, and partial aggregates
-    /// merge in global chunk order — bit-identical to scanning the loaded
-    /// dataset. Requires the derived section (its per-batch enrichment
-    /// feeds the source aggregates).
-    pub fn fused(&mut self) -> Result<crowd_analytics::fused::Fused, SnapshotError> {
-        let ShardedSnapshotReader { file, sections_start, entities, derived, directory, time_max } =
-            self;
-        let Some(d) = derived.as_ref() else {
+    /// [`ScanPass::run_stream`] — the next one read while the pool folds
+    /// the last — and partial aggregates merge in global chunk order,
+    /// bit-identical to scanning the loaded dataset. Requires the derived
+    /// section (its per-batch enrichment feeds the source aggregates).
+    pub fn fused(&mut self) -> Result<Fused, SnapshotError> {
+        let Some(d) = self.derived.as_ref() else {
             return Err(SnapshotError::Corrupt("no derived section to stream a scan from"));
         };
-        let (n_batches, n_workers) = (entities.batches.len(), entities.workers.len());
-        let stream = (0..directory.n_shards()).map(|k| {
-            let mut cols = InstanceColumns::new();
-            read_section(file, *sections_start, directory, k, n_batches, n_workers, &mut cols)
-                .map(|()| (directory.base_row(k) as usize, cols))
-        });
-        crowd_analytics::fused::compute_streamed(entities, &d.metrics, *time_max, stream)
+        self.sections.fused(&self.entities, &d.metrics)
     }
 
     /// Consumes the reader into its meta parts — entity tables, derived
     /// artifacts, persisted `time_max` — **without reading any shard
-    /// section**. The columns-optional warm path uses this: a full hit
-    /// needs only the entities and the persisted enrichment, and row-level
-    /// consumers re-open the file and pull shards on demand.
-    pub fn into_meta(mut self) -> (Dataset, Option<Derived>, Option<Timestamp>) {
-        (std::mem::take(&mut self.entities), self.derived.take(), self.time_max)
+    /// section**.
+    pub fn into_meta(self) -> (Dataset, Option<Derived>, Option<Timestamp>) {
+        let (entities, derived, sections) = self.into_parts();
+        (entities, derived, sections.time_max)
+    }
+
+    /// [`into_meta`](Self::into_meta), keeping the open, verified shard
+    /// sections: the warm start streams its fused scan from them without
+    /// opening and decoding the file a second time.
+    pub(crate) fn into_parts(self) -> (Dataset, Option<Derived>, ShardSections) {
+        (self.entities, self.derived, self.sections)
     }
 
     /// Loads every shard into a fully validated [`Snapshot`], consuming
     /// the reader. Equivalent to [`crate::decode`] on the whole file but
     /// never holds more than the dataset plus one section buffer.
-    pub fn into_snapshot(mut self) -> Result<Snapshot, SnapshotError> {
-        let mut dataset = std::mem::take(&mut self.entities);
-        dataset.instances.reserve(self.directory.n_rows() as usize);
-        for shard in 0..self.directory.n_shards() {
-            read_section(
-                &mut self.file,
-                self.sections_start,
-                &self.directory,
-                shard,
-                dataset.batches.len(),
-                dataset.workers.len(),
-                &mut dataset.instances,
-            )?;
+    pub fn into_snapshot(self) -> Result<Snapshot, SnapshotError> {
+        let (mut dataset, derived, mut sections) = self.into_parts();
+        dataset.instances.reserve(sections.directory.n_rows() as usize);
+        let (n_batches, n_workers) = (dataset.batches.len(), dataset.workers.len());
+        for shard in 0..sections.directory.n_shards() {
+            sections.read_into(shard, n_batches, n_workers, &mut dataset.instances)?;
         }
         dataset.validate().map_err(|_| SnapshotError::Corrupt("dataset integrity"))?;
-        Ok(Snapshot { dataset, derived: self.derived.take() })
+        Ok(Snapshot { dataset, derived })
     }
 }
 

@@ -9,10 +9,11 @@
 //! * snapshot opens and its derived artifacts match the requested cluster
 //!   parameters → only the meta payload (entities + persisted enrichment)
 //!   loads. The instance rows stay on disk and the `Study` is
-//!   *columns-optional*: its fused aggregates stream back one shard
-//!   section at a time through a
-//!   [`ShardedSnapshotReader`](crate::ShardedSnapshotReader) on first use.
-//!   No simulation, shingling, LSH or feature extraction runs;
+//!   *columns-optional*: on first use its fused aggregates stream back one
+//!   shard section at a time from the file the
+//!   [`ShardedSnapshotReader`](crate::ShardedSnapshotReader) opened and
+//!   verified, so a warm start opens and decodes the file once. No
+//!   simulation, shingling, LSH or feature extraction runs;
 //! * snapshot opens but was derived with *different* cluster parameters →
 //!   load the dataset (simulation still skipped), recompute clustering
 //!   and enrichment, rewrite the snapshot with the new artifacts;
@@ -33,14 +34,17 @@
 //! ([`SnapshotStore::swallowed_saves`]); an unwritable store or an IO
 //! failure mid-build falls back to the no-store build.
 
+use std::sync::{Mutex, PoisonError};
+
 use crowd_analytics::fused::Fused;
-use crowd_analytics::study::{enrich_batches, sampled_docs, StreamingEnricher};
+use crowd_analytics::study::{enrich_batches, sampled_docs, BatchMetrics, StreamingEnricher};
 use crowd_analytics::Study;
 use crowd_cluster::{ClusterParams, Clusterer, Clustering};
 use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::shard::ShardSink;
 use crowd_sim::{simulate, SimConfig};
 
+use crate::sharded::ShardSections;
 use crate::{Derived, Snapshot, SnapshotError, SnapshotStore};
 
 /// [`Study::new`] with snapshot caching: read-on-hit, write-on-miss.
@@ -66,13 +70,13 @@ pub fn study_with_params(
             // Full hit: entities + persisted enrichment only. The rows stay
             // on disk; the fused scan streams them back on first use.
             let n_rows = reader.directory().n_rows() as usize;
-            let (entities, derived, _) = reader.into_meta();
+            let (entities, derived, sections) = reader.into_parts();
             let d = derived.expect("params just matched on this derived section");
             return Study::from_enrichment_streamed(
                 entities,
                 d.metrics,
                 n_rows,
-                fused_source(cfg, params, store),
+                fused_source(cfg, params, store, Some(sections)),
             );
         }
         // Derived mismatch: the dataset is still good, so load it (one
@@ -139,7 +143,7 @@ fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore)
             entities,
             derived.metrics,
             n_rows,
-            fused_source(cfg, params, store),
+            fused_source(cfg, params, store, None),
         ),
         Err(_) => {
             // The shards never published, so the columns-optional study
@@ -170,9 +174,12 @@ impl ShardSink for BuildSink<'_> {
     }
 }
 
-/// The fused provider a columns-optional `Study` defers to: re-open the
-/// snapshot and stream the shard sections through the scan. If the file
-/// has been damaged or removed since the study was built, fall back to a
+/// The fused provider a columns-optional `Study` defers to: stream the
+/// shard sections of the snapshot — those the warm start already opened
+/// and verified (`sections`), or, after a cold build, which holds no
+/// reader, those of the file re-opened on first use. The shards decode
+/// against the study's own entities and fold with its own batch metrics.
+/// If a section fails its checksum, or the file is gone, fall back to a
 /// full re-simulation that also republishes a valid snapshot — one slow
 /// (but correct) answer, never a wrong one, and the next warm start reads
 /// a sound file again.
@@ -180,11 +187,20 @@ fn fused_source(
     cfg: &SimConfig,
     params: ClusterParams,
     store: &SnapshotStore,
+    sections: Option<ShardSections>,
 ) -> impl Fn(&Study) -> Fused + Send + Sync + 'static {
     let (cfg, store) = (cfg.clone(), store.clone());
-    move |_| match store.open_reader(&cfg).and_then(|mut r| r.fused()) {
-        Ok(fused) => fused,
-        Err(_) => build_and_persist(&cfg, params, &store, simulate(&cfg)).fused().clone(),
+    let sections = Mutex::new(sections);
+    move |study| {
+        // The study memoizes its scan, so the held sections serve one
+        // call; any later call re-opens the file.
+        let held = sections.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let metrics: Vec<BatchMetrics> = study.enriched_batches().cloned().collect();
+        held.map_or_else(|| store.open_reader(&cfg).map(|r| r.into_parts().2), Ok)
+            .and_then(|mut sections| sections.fused(study.dataset(), &metrics))
+            .unwrap_or_else(|_| {
+                build_and_persist(&cfg, params, &store, simulate(&cfg)).fused().clone()
+            })
     }
 }
 

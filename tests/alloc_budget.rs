@@ -7,7 +7,8 @@
 //! streaming build (simulator shard flushing + streaming enricher) must
 //! stay within a per-row allocation budget so a regression that
 //! reintroduces per-row buffers fails loudly here rather than silently
-//! costing throughput.
+//! costing throughput. Reading snapshot shards one after another into a
+//! reused column set must not allocate a section- or column-sized block.
 //!
 //! Everything runs inside **one** `#[test]` — the counter is global, and
 //! the harness runs separate tests concurrently.
@@ -21,16 +22,30 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Blocks of at least this many bytes are also counted in [`LARGE`]: a
+/// snapshot section or an instance column of one scan chunk (8192 `u32`s)
+/// is this big, a text answer is not.
+const LARGE_BLOCK: usize = 32 << 10;
+
+static LARGE: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if size >= LARGE_BLOCK {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,6 +57,12 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+fn large_allocs_during(f: impl FnOnce()) -> u64 {
+    let before = LARGE.load(Ordering::Relaxed);
+    f();
+    LARGE.load(Ordering::Relaxed) - before
 }
 
 /// The counter is process-global, so harness background threads can slip
@@ -118,4 +139,29 @@ fn steady_state_allocation_budgets_hold() {
         "streaming build allocated {build_allocs} times for {rows} rows \
          (> 3/row budget)"
     );
+
+    // ---- shard reads: no section- or column-sized block past shard 0 ---
+    // The reader keeps one section buffer, and each column decodes
+    // straight onto the caller's, so reading shard after shard into one
+    // truncated column set leaves only the text answers to allocate.
+    use crowd_core::dataset::InstanceColumns;
+    use crowd_snapshot::{encode_sharded, ShardedSnapshotReader, Snapshot};
+
+    let ds = crowd_sim::simulate(&SimConfig::new(31, 0.002));
+    let bytes = encode_sharded(&Snapshot { dataset: ds, derived: None }, 7, 4);
+    let path = std::env::temp_dir().join(format!("crowd-alloc-shards-{}.bin", std::process::id()));
+    std::fs::write(&path, bytes).expect("write snapshot");
+    let mut reader = ShardedSnapshotReader::open(&path, 7).expect("snapshot opens");
+    let n_shards = reader.directory().n_shards();
+    assert!(n_shards >= 3, "need several shards to exercise buffer reuse");
+    let mut cols = InstanceColumns::new();
+    reader.read_shard_into(0, &mut cols).expect("shard 0 reads");
+    let large = large_allocs_during(|| {
+        for shard in 1..n_shards {
+            cols.truncate(0);
+            reader.read_shard_into(shard, &mut cols).expect("shard reads");
+        }
+    });
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(large, 0, "shards 1..{n_shards} allocated {large} blocks of >= 32 KiB");
 }
