@@ -3,7 +3,7 @@
 //!
 //! Before this module each analytics function re-walked `ds.instances`
 //! on its own (~28 full-table scans for a full reproduction run). Now a
-//! single composite accumulator ([`FusedAcc`]) gathers the raw per-worker,
+//! single composite accumulator (`FusedAcc`) gathers the raw per-worker,
 //! per-source, per-week, per-day, per-splice and per-item aggregates in
 //! one pass, and the public functions in [`crate::marketplace`],
 //! [`crate::workers`] and [`crate::design`] *shape* their outputs from the

@@ -122,46 +122,24 @@ impl Study {
             let (_ids, docs) = sampled_docs(&ds);
             Clusterer::new(params).cluster(&docs)
         };
-        Study::with_clustering(ds, clustering)
-    }
-
-    /// Enriches against an externally computed clustering — the entry
-    /// point for callers that already hold labels (an A/B harness reusing
-    /// one clustering across arms, or a snapshot warm start recomputing
-    /// enrichment only).
-    ///
-    /// # Panics
-    /// If `clustering` does not cover exactly the sampled batches (its
-    /// length must equal their count; labels are positional in dataset
-    /// order, as produced by clustering [`sampled_docs`]).
-    pub fn with_clustering(ds: Dataset, clustering: Clustering) -> Study {
         let index = ds.index();
         let metrics = enrich_batches(&ds, &index, &clustering);
         Study::assemble(ds, index, metrics)
     }
 
-    /// Rebuilds a `Study` from already computed per-batch enrichment,
-    /// skipping clustering and metric computation entirely — the snapshot
-    /// rewrite path, which holds the rows it just enriched. `metrics` must
-    /// be the sampled batches in dataset order, with dense cluster ids,
-    /// exactly as [`enrich_batches`] produces (and as `crowd-snapshot`
-    /// validates on decode).
-    pub fn from_enrichment(ds: Dataset, metrics: Vec<BatchMetrics>) -> Study {
-        let index = ds.index();
-        Study::assemble(ds, index, metrics)
-    }
-
-    /// Columns-optional constructor: `entities` carries every table
-    /// *except* instances (its instance table must be empty), `n_rows` is
-    /// the true row count, and `fused_source` produces the fused scan on
-    /// first use — typically by streaming shard sections back off disk, so
-    /// no more than one shard of rows is ever resident. `metrics` follows
-    /// the same positional contract as [`from_enrichment`](Self::from_enrichment).
+    /// Columns-optional constructor, built from already computed per-batch
+    /// enrichment: `entities` carries every table *except* instances (its
+    /// instance table must be empty), `n_rows` is the true row count, and
+    /// `fused_source` produces the fused scan on first use — typically by
+    /// streaming shard sections back off disk, so no more than one shard
+    /// of rows is ever resident. `metrics` must be the sampled batches in
+    /// dataset order, with dense cluster ids, exactly as
+    /// [`enrich_batches`] produces (and as `crowd-snapshot` validates on
+    /// decode).
     ///
     /// # Panics
     /// If `entities` already holds instance rows (that would make
-    /// [`n_instances`](Self::n_instances) ambiguous — use
-    /// [`from_enrichment`](Self::from_enrichment) instead).
+    /// [`n_instances`](Self::n_instances) ambiguous).
     pub fn from_enrichment_streamed(
         entities: Dataset,
         metrics: Vec<BatchMetrics>,
@@ -401,7 +379,7 @@ fn compute_batch_metrics(
 /// Relies on the simulator's delivery contract: rows arrive grouped by
 /// batch, batches in ascending id order — exactly the order
 /// `DatasetIndex::instances_of_batch` replays them in, so every pile (and
-/// every float fold over it) matches [`compute_batch_metrics`]
+/// every float fold over it) matches `compute_batch_metrics`
 /// bit-for-bit. At most one batch's pile is open at a time; finished
 /// batches reduce to a handful of scalars immediately.
 pub struct StreamingEnricher {

@@ -66,8 +66,9 @@ fn run_child(mode: &str, scale: f64, shards: usize, dir: &Path) {
             black_box(study.n_instances());
         }
         // Full materializing load: every shard verified and appended into
-        // one table (`store.load`) — what derived-parameter rewrites pay.
-        // Kept separate from `warm_study`, which never materializes rows.
+        // one table (`SnapshotStore::load`), the load the gate's
+        // `warm_one_shard_speedup_vs_full_warm` times. No build path
+        // materializes the table; `warm_study` never does either.
         "warm_full_load" => {
             let snap = store.load(&c).expect("snapshot must exist and verify");
             black_box(snap.dataset.instances.len());
@@ -78,7 +79,7 @@ fn run_child(mode: &str, scale: f64, shards: usize, dir: &Path) {
         "warm_fused_stream" => {
             let mut reader = store.open_reader(&c).expect("snapshot must exist and verify");
             let fused = reader.fused().expect("streamed fused scan");
-            black_box(format!("{fused:?}").len());
+            black_box(fused.n_instances());
         }
         // Partial load: verify the header and meta, then read exactly one
         // shard — the "touch only what the query needs" path.

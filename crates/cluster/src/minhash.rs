@@ -9,7 +9,7 @@
 //!
 //! [`MinHasher::sign`] is the blocked kernel: hash parameters live in
 //! struct-of-arrays layout (`a[]`/`b[]`), shingles are pre-mixed in
-//! fixed-width stack batches, and the inner loop updates [`LANES`] running
+//! fixed-width stack batches, and the inner loop updates `LANES` running
 //! minima at a time with straight-line `wrapping_mul`/`wrapping_add`/`min`
 //! — no branches, no table lookups — which the autovectorizer lifts to
 //! SIMD. The min-reduction over shingles is order-invariant, so the

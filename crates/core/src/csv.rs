@@ -377,7 +377,7 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hash of one serialized record (FNV-1a folded through [`mix64`]).
+/// Hash of one serialized record (FNV-1a folded through `mix64`).
 pub fn record_hash(record: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in record.as_bytes() {
@@ -529,36 +529,6 @@ pub fn render_table(ds: &Dataset, table: Table) -> (String, ManifestEntry) {
         }
     }
     (out, ManifestEntry { table, rows, digest: digest.finish() })
-}
-
-/// Serializes the `sources` table.
-pub fn sources_to_csv(ds: &Dataset) -> String {
-    render_table(ds, Table::Sources).0
-}
-
-/// Serializes the `countries` table.
-pub fn countries_to_csv(ds: &Dataset) -> String {
-    render_table(ds, Table::Countries).0
-}
-
-/// Serializes the `workers` table.
-pub fn workers_to_csv(ds: &Dataset) -> String {
-    render_table(ds, Table::Workers).0
-}
-
-/// Serializes the `task_types` table.
-pub fn task_types_to_csv(ds: &Dataset) -> String {
-    render_table(ds, Table::TaskTypes).0
-}
-
-/// Serializes the `batches` table.
-pub fn batches_to_csv(ds: &Dataset) -> String {
-    render_table(ds, Table::Batches).0
-}
-
-/// Serializes the `instances` table.
-pub fn instances_to_csv(ds: &Dataset) -> String {
-    render_table(ds, Table::Instances).0
 }
 
 /// Writes `content` to `path` via a temp sibling + rename, so a crash mid-

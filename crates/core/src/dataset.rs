@@ -356,12 +356,6 @@ impl InstanceColumns {
         &self.answer
     }
 
-    /// Overwrites the batch id of row `i` (test/repair surgery; analytics
-    /// never mutate).
-    pub fn set_batch(&mut self, i: usize, batch: BatchId) {
-        self.batch[i] = batch;
-    }
-
     /// Overwrites the worker id of row `i`.
     pub fn set_worker(&mut self, i: usize, worker: WorkerId) {
         self.worker[i] = worker;
@@ -527,12 +521,6 @@ impl Dataset {
     #[inline]
     pub fn instance(&self, id: InstanceId) -> InstanceRef<'_> {
         self.instances.row(id.index())
-    }
-
-    /// The task type behind an instance (via its batch).
-    #[inline]
-    pub fn instance_task_type(&self, inst: InstanceRef<'_>) -> TaskTypeId {
-        self.batch(inst.batch).task_type
     }
 
     /// Pickup latency of an instance: time from batch creation to the

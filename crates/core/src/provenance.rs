@@ -39,11 +39,6 @@ impl ErrorBudget {
     pub const fn strict() -> ErrorBudget {
         ErrorBudget { max_quarantined_per_table: 0 }
     }
-
-    /// A budget of `n` quarantined rows per table.
-    pub const fn per_table(n: u64) -> ErrorBudget {
-        ErrorBudget { max_quarantined_per_table: n }
-    }
 }
 
 /// One quarantined record: where it came from and why it was rejected.

@@ -60,18 +60,6 @@ impl Duration {
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / 3_600.0
     }
-
-    /// Total duration expressed in fractional days.
-    #[inline]
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_DAY as f64
-    }
-
-    /// True when the duration is negative.
-    #[inline]
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
 }
 
 impl Add for Duration {
@@ -149,12 +137,6 @@ impl Weekday {
     /// Construct from an index `0..7` (`Mon = 0`).
     pub fn from_index(i: usize) -> Option<Weekday> {
         Weekday::ALL.get(i).copied()
-    }
-
-    /// True for Saturday and Sunday (paper §3.1: weekend troughs).
-    #[inline]
-    pub const fn is_weekend(self) -> bool {
-        matches!(self, Weekday::Sat | Weekday::Sun)
     }
 
     /// Three-letter English abbreviation, as printed in Fig. 3.

@@ -47,7 +47,9 @@ pub use events::{
 pub use fault::{ChaosReader, Fault, FaultKind, FaultPlan};
 pub use killpoint::{kill_point, points_passed, KILL_AT_ENV};
 pub use loader::{ingest, ingest_dir, IngestFailure, IngestOptions, Ingested, CHUNK};
-pub use retry::{is_transient, read_all_with_retry, Backoff, Clock, ManualClock, SystemClock};
+pub use retry::{
+    is_transient, read_all_with_retry, retry_transient, Backoff, Clock, ManualClock, SystemClock,
+};
 pub use source::{ChaosSource, DirSource, TableSource};
 pub use wal::{
     replay as wal_replay, segment_files as wal_segment_files, truncate_torn, WalCorruptKind,

@@ -132,6 +132,27 @@ pub fn is_transient(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock)
 }
 
+/// Runs `op`, retrying transient errors under `backoff` on `clock`.
+/// Returns `op`'s last result plus the number of retries spent; any other
+/// error, or a transient one once the retries run out, ends the loop.
+/// `op` must be safe to run again from the start after a failure.
+pub fn retry_transient<T>(
+    backoff: &Backoff,
+    clock: &dyn Clock,
+    mut op: impl FnMut() -> io::Result<T>,
+) -> (io::Result<T>, u32) {
+    let mut retries = 0u32;
+    loop {
+        match op() {
+            Err(e) if is_transient(&e) && retries < backoff.max_retries => {
+                clock.sleep(backoff.delay(retries));
+                retries += 1;
+            }
+            result => return (result, retries),
+        }
+    }
+}
+
 /// Reads `r` to the end, retrying transient errors under `backoff` on
 /// `clock`. Returns the bytes plus the number of retries spent.
 ///

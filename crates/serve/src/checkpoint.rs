@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crowd_core::dataset::Dataset;
 use crowd_ingest::killpoint::kill_point;
-use crowd_ingest::{is_transient, Backoff, Clock, SystemClock};
+use crowd_ingest::{retry_transient, Backoff, Clock, SystemClock};
 use crowd_snapshot::format::checksum;
 use crowd_snapshot::{decode, encode, Snapshot, SnapshotError};
 
@@ -162,19 +162,10 @@ impl CheckpointStore {
 
     /// Runs `f`, retrying transient IO errors under the store's backoff.
     /// Every retry is counted into the shared retry gauge.
-    fn retry_io(&self, mut f: impl FnMut() -> io::Result<()>) -> io::Result<()> {
-        let mut retries = 0u32;
-        loop {
-            match f() {
-                Ok(()) => return Ok(()),
-                Err(e) if is_transient(&e) && retries < self.backoff.max_retries => {
-                    self.clock.sleep(self.backoff.delay(retries));
-                    retries += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    fn retry_io(&self, f: impl FnMut() -> io::Result<()>) -> io::Result<()> {
+        let (result, retries) = retry_transient(&self.backoff, &*self.clock, f);
+        self.retries.fetch_add(u64::from(retries), Ordering::Relaxed);
+        result
     }
 
     /// The store's directory.
@@ -208,14 +199,15 @@ impl CheckpointStore {
         out
     }
 
-    /// Atomically writes a checkpoint; returns its final path. Transient
-    /// IO errors retry under the store's backoff; anything else surfaces
-    /// after removing the temp file.
-    pub fn write(&self, state: &CheckpointState) -> Result<PathBuf, CheckpointError> {
+    /// Atomically writes a checkpoint; returns its final path. The state
+    /// is consumed: its dataset moves into the encoded snapshot instead of
+    /// being copied. Transient IO errors retry under the store's backoff;
+    /// anything else surfaces after removing the temp file.
+    pub fn write(&self, state: CheckpointState) -> Result<PathBuf, CheckpointError> {
         assert_eq!(state.stream_id, self.stream_id, "checkpoint stream id mismatch");
         fs::create_dir_all(&self.dir)?;
-        let bytes = encode_checkpoint(state);
         let path = self.path_for(state.events_applied);
+        let bytes = encode_checkpoint(state);
         let tmp = path.with_extension("tmp");
         let result = self.retry_io(|| {
             let mut f = fs::File::create(&tmp)?;
@@ -256,12 +248,12 @@ impl CheckpointStore {
     }
 }
 
-fn encode_checkpoint(state: &CheckpointState) -> Vec<u8> {
-    let payload =
-        encode(&Snapshot { dataset: state.dataset.clone(), derived: None }, state.stream_id);
+fn encode_checkpoint(state: CheckpointState) -> Vec<u8> {
+    let CheckpointState { stream_id, events_applied, version, posted, picked_up, dataset } = state;
+    let payload = encode(&Snapshot { dataset, derived: None }, stream_id);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&CKPT_MAGIC);
-    for v in [state.stream_id, state.events_applied, state.version, state.posted, state.picked_up] {
+    for v in [stream_id, events_applied, version, posted, picked_up] {
         out.extend_from_slice(&v.to_le_bytes());
     }
     let hdr_checksum = checksum(&out);
@@ -325,8 +317,8 @@ mod tests {
     fn round_trip_restores_counters_and_rows() {
         let dir = std::env::temp_dir().join(format!("crowd-serve-ckpt-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
-        store.write(&state(10)).unwrap();
-        store.write(&state(20)).unwrap();
+        store.write(state(10)).unwrap();
+        store.write(state(20)).unwrap();
         let (got, faults) = store.load_latest().unwrap();
         assert!(faults.is_empty());
         assert_eq!(got.events_applied, 20);
@@ -339,8 +331,8 @@ mod tests {
     fn torn_newest_falls_back_to_previous_with_typed_fault() {
         let dir = std::env::temp_dir().join(format!("crowd-serve-torn-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
-        store.write(&state(10)).unwrap();
-        let newest = store.write(&state(20)).unwrap();
+        store.write(state(10)).unwrap();
+        let newest = store.write(state(20)).unwrap();
         // Tear the newest file mid-payload.
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
@@ -356,7 +348,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("crowd-serve-dead-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
         for ev in [10, 20] {
-            let p = store.write(&state(ev)).unwrap();
+            let p = store.write(state(ev)).unwrap();
             fs::write(&p, b"CSRVCKP1 garbage").unwrap();
         }
         match store.load_latest() {
@@ -413,7 +405,7 @@ mod tests {
     fn wrong_stream_id_is_rejected() {
         let dir = std::env::temp_dir().join(format!("crowd-serve-stream-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
-        store.write(&state(10)).unwrap();
+        store.write(state(10)).unwrap();
         let other = CheckpointStore::new(&dir, 0xbeef);
         assert!(matches!(other.load_latest(), Err(CheckpointError::NoValidCheckpoint { .. })));
         fs::remove_dir_all(&dir).ok();

@@ -41,7 +41,7 @@ pub struct EventFeed {
 
 impl EventFeed {
     /// Derives the feed for a simulation config: the dataset
-    /// [`simulate`] produces, split into entities + events.
+    /// [`simulate()`] produces, split into entities + events.
     pub fn from_config(cfg: &SimConfig) -> EventFeed {
         EventFeed::from_dataset(&simulate(cfg))
     }

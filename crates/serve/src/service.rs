@@ -14,8 +14,8 @@
 //!   published version (never a torn mix) and versions are monotone.
 //!
 //! Equivalence contract: every published snapshot's fused aggregates
-//! equal a cold batch [`Study`](crowd_analytics::Study) over the same
-//! event prefix. [`batch_study`] rebuilds that oracle on demand.
+//! equal a cold batch [`Study`] over the same event prefix.
+//! [`batch_study`] rebuilds that oracle on demand.
 //!
 //! [`apply_events`]: LiveService::apply_events
 //! [`snapshot`]: ServiceHandle::snapshot
@@ -289,12 +289,14 @@ impl LiveService {
     }
 
     fn from_state(
-        state: CheckpointState,
+        mut state: CheckpointState,
         store: CheckpointStore,
         every_events: u64,
     ) -> LiveService {
-        let entities = Arc::new(entities_only(&state.dataset));
-        let rows = state.dataset.instances.clone_range(0..state.dataset.instances.len());
+        // The decoded rows move into the service; what remains of the
+        // dataset is exactly its entity tables.
+        let rows = std::mem::take(&mut state.dataset.instances);
+        let entities = Arc::new(state.dataset);
         let mut view = FusedView::new(Arc::clone(&entities));
         view.apply(&rows);
         let gauges = Gauges {
@@ -491,8 +493,7 @@ impl LiveService {
         self.shared.publish(Arc::clone(&snap));
         if let Some((store, every)) = &self.checkpoints {
             if self.events_applied / every > before / every {
-                let state = self.checkpoint_state();
-                store.write(&state).map_err(ServeError::Checkpoint)?;
+                store.write(self.checkpoint_state()).map_err(ServeError::Checkpoint)?;
                 // The checkpoint now covers everything applied; WAL
                 // segments wholly before it are dead weight.
                 if let Some(wal) = &mut self.wal {
@@ -537,7 +538,7 @@ impl LiveService {
     pub fn checkpoint_now(&self) -> Result<std::path::PathBuf, ServeError> {
         let (store, _) =
             self.checkpoints.as_ref().expect("checkpoint_now requires with_checkpoints/restore");
-        store.write(&self.checkpoint_state()).map_err(ServeError::Checkpoint)
+        store.write(self.checkpoint_state()).map_err(ServeError::Checkpoint)
     }
 
     fn checkpoint_state(&self) -> CheckpointState {

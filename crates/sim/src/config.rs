@@ -111,7 +111,7 @@ impl SimConfig {
 
     /// Collision-resistant digest of every generative knob.
     ///
-    /// Two configs share a fingerprint exactly when [`crate::simulate`]
+    /// Two configs share a fingerprint exactly when [`crate::simulate()`]
     /// would produce bit-identical datasets from them, so the value can key
     /// caches of simulation output (`crowd-snapshot` does). Thread count,
     /// host, and process state play no part — the digest covers config

@@ -72,11 +72,6 @@ pub struct TaskTypeSpec {
 }
 
 impl TaskTypeSpec {
-    /// True when any label category is complex (§3.5).
-    pub fn is_complex_goal(&self) -> bool {
-        self.goals.complexity() == Some(Complexity::Complex)
-    }
-
     /// The HTML interface spec for a batch of this type; `batch_seed`
     /// varies only the incidental content (item references) between
     /// batches of one type — the instruction text is type-stable.

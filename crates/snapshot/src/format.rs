@@ -4,7 +4,7 @@
 //! scalars, length-prefixed byte strings, length-prefixed homogeneous
 //! arrays of scalars, and the payload checksum. [`ByteWriter`] and
 //! [`ByteReader`] implement those shapes symmetrically; the section codecs
-//! in [`crate::codec`] never touch raw bytes directly. The fixed file
+//! in `codec` never touch raw bytes directly. The fixed file
 //! header has one writer (`header`) and one parser (`read_header`),
 //! shared by the in-memory and streaming encoders and decoders.
 //!

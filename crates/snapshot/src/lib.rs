@@ -63,7 +63,7 @@
 
 use crowd_analytics::BatchMetrics;
 use crowd_cluster::{ClusterParams, Signature};
-use crowd_core::dataset::{Dataset, InstanceColumns};
+use crowd_core::dataset::Dataset;
 use crowd_core::rng::stream_seed;
 use crowd_core::shard::ShardPlan;
 use crowd_sim::SimConfig;
@@ -91,7 +91,7 @@ pub const MAGIC: [u8; 8] = *b"CROWDSNP";
 /// artifacts derived from it.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// The simulated dataset, bit-identical to a fresh [`crowd_sim::simulate`].
+    /// The simulated dataset, bit-identical to a fresh [`crowd_sim::simulate()`].
     pub dataset: Dataset,
     /// Derived artifacts; `None` when only the dataset was persisted.
     pub derived: Option<Derived>,
@@ -258,38 +258,19 @@ pub fn encode_sharded(snapshot: &Snapshot, fingerprint: u64, shards: usize) -> V
     out
 }
 
-/// Deserializes a snapshot, verifying (in order) magic, version,
-/// fingerprint, meta payload length, meta checksum and shape, and every
-/// shard section's checksum and shape.
+/// Deserializes a snapshot held in memory, with the checks
+/// [`ShardedSnapshotReader`] runs on a file, in the same order: magic,
+/// version, fingerprint, meta payload length and checksum, meta shape,
+/// shard directory against the input length, then every shard section's
+/// checksum and shape, and finally [`Dataset::validate`].
 ///
 /// For shard-granular or bounded-memory access to a snapshot *file*, use
 /// [`ShardedSnapshotReader`] instead — this entry point requires the whole
 /// file in memory and materializes every shard.
 pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<Snapshot, SnapshotError> {
-    let (payload_len, stored_sum) = format::read_header(bytes, expected_fingerprint)?;
-    let mut r = format::ByteReader::new(&bytes[format::HEADER_LEN..]);
-    let meta_bytes = r.take(payload_len as usize)?;
-    if format::checksum(meta_bytes) != stored_sum {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let codec::DecodedMeta { mut entities, derived, directory, time_max: _ } =
-        codec::decode_meta(meta_bytes)?;
-    let mut cols = InstanceColumns::new();
-    cols.reserve(directory.n_rows() as usize);
-    let (n_batches, n_workers) = (entities.batches.len(), entities.workers.len());
-    for (shard, sec) in directory.sections().iter().enumerate() {
-        let bytes = r.take(sec.byte_len as usize)?;
-        if format::checksum(bytes) != sec.checksum {
-            return Err(SnapshotError::ShardCorrupt { shard });
-        }
-        codec::decode_instances_into(bytes, sec.rows as usize, n_batches, n_workers, &mut cols)?;
-    }
-    if r.remaining() != 0 {
-        return Err(SnapshotError::Corrupt("trailing bytes"));
-    }
-    entities.instances = cols;
-    entities.validate().map_err(|_| SnapshotError::Corrupt("dataset integrity"))?;
-    Ok(Snapshot { dataset: entities, derived })
+    let source = std::io::Cursor::new(bytes);
+    let (entities, derived, sections) = sharded::ShardSections::open(source, expected_fingerprint)?;
+    sections.into_snapshot(entities, derived)
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! sections on demand with plain aligned `seek` + `read_exact` calls
 //! straight into the section buffer — no intermediate whole-file read, so
 //! peak memory for a scan is the entity tables plus **one** shard.
+//! [`crate::decode`] runs the same checks, in the same order, over bytes
+//! already in memory.
 //!
 //! Corruption is shard-granular: a damaged section surfaces as
 //! [`SnapshotError::ShardCorrupt`] naming the shard, while every other
@@ -109,16 +111,17 @@ impl ShardDirectory {
         self.sections[..shard].iter().map(|s| s.byte_len).sum()
     }
 
-    /// Total bytes of all shard sections.
+    /// Total bytes of all shard sections (saturating: the lengths are
+    /// read from input and checked against the source's only after).
     fn sections_len(&self) -> u64 {
-        self.sections.iter().map(|s| s.byte_len).sum()
+        self.sections.iter().fold(0, |total, s| total.saturating_add(s.byte_len))
     }
 }
 
 /// Maps `read_exact`'s EOF onto the snapshot truncation class; everything
 /// else stays an IO error.
-fn read_exact_or_truncated(file: &mut File, buf: &mut [u8]) -> Result<(), SnapshotError> {
-    file.read_exact(buf).map_err(|e| {
+fn read_exact_or_truncated(source: &mut impl Read, buf: &mut [u8]) -> Result<(), SnapshotError> {
+    source.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             SnapshotError::Truncated
         } else {
@@ -127,21 +130,65 @@ fn read_exact_or_truncated(file: &mut File, buf: &mut [u8]) -> Result<(), Snapsh
     })
 }
 
-/// The instance sections of an opened snapshot file: the verified shard
-/// directory and the open file they live in. Every read reuses one
-/// section buffer, sized on first use for the largest section.
-pub(crate) struct ShardSections {
-    file: File,
+/// The instance sections of an opened snapshot: the verified shard
+/// directory and the file (or bytes in memory) they live in. Every read
+/// reuses one section buffer, sized on first use for the largest section.
+pub(crate) struct ShardSections<R = File> {
+    source: R,
     sections_start: u64,
     directory: ShardDirectory,
     time_max: Option<Timestamp>,
     buf: Vec<u8>,
 }
 
-impl ShardSections {
-    /// Seeks to, reads, verifies, and decodes shard `shard`, appending its
-    /// rows onto `out`; entity references must index `n_batches` batches
-    /// and `n_workers` workers.
+impl<R: Read + Seek> ShardSections<R> {
+    /// The one verification sequence every snapshot read starts with, in
+    /// order: header (magic, version, fingerprint), meta length against
+    /// the source's, meta checksum, meta decode, and the shard directory
+    /// against the source's length. Returns the entity tables, the
+    /// derived artifacts and the still unread shard sections, whose
+    /// checksums verify per shard as they are read.
+    pub(crate) fn open(
+        mut source: R,
+        expected_fingerprint: u64,
+    ) -> Result<(Dataset, Option<Derived>, ShardSections<R>), SnapshotError> {
+        let len = source.seek(SeekFrom::End(0))?;
+        source.rewind()?;
+        // A source shorter than the header fails at the first field it cuts.
+        let mut header = [0u8; HEADER_LEN];
+        let header = &mut header[..len.min(HEADER_LEN as u64) as usize];
+        read_exact_or_truncated(&mut source, header)?;
+        let (payload_len, stored_sum) = read_header(header, expected_fingerprint)?;
+        // Bound the meta allocation by the actual length before trusting
+        // the header's length field.
+        if payload_len > len.saturating_sub(HEADER_LEN as u64) {
+            return Err(SnapshotError::Truncated);
+        }
+        let mut meta = vec![0u8; payload_len as usize];
+        read_exact_or_truncated(&mut source, &mut meta)?;
+        if checksum(&meta) != stored_sum {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
+        let decoded = codec::decode_meta(&meta)?;
+        let sections_start = HEADER_LEN as u64 + payload_len;
+        match sections_start.saturating_add(decoded.directory.sections_len()).cmp(&len) {
+            std::cmp::Ordering::Greater => return Err(SnapshotError::Truncated),
+            std::cmp::Ordering::Less => return Err(SnapshotError::Corrupt("trailing bytes")),
+            std::cmp::Ordering::Equal => {}
+        }
+        let sections = ShardSections {
+            source,
+            sections_start,
+            directory: decoded.directory,
+            time_max: decoded.time_max,
+            buf: Vec::new(),
+        };
+        Ok((decoded.entities, decoded.derived, sections))
+    }
+
+    /// Reads, verifies, and decodes shard `shard`, appending its rows
+    /// onto `out`; entity references must index `n_batches` batches and
+    /// `n_workers` workers.
     fn read_into(
         &mut self,
         shard: usize,
@@ -154,25 +201,41 @@ impl ShardSections {
         };
         if self.buf.capacity() == 0 {
             // Sized once for the largest section, so no later shard
-            // regrows it. `open` bounded every length by the file size.
+            // regrows it. `open` bounded every length by the source's.
             let largest = self.directory.sections().iter().map(|s| s.byte_len).max();
             self.buf.reserve_exact(largest.unwrap_or(0) as usize);
         }
         self.buf.resize(sec.byte_len as usize, 0);
-        self.file
+        self.source
             .seek(SeekFrom::Start(self.sections_start + self.directory.section_offset(shard)))?;
-        read_exact_or_truncated(&mut self.file, &mut self.buf)?;
+        read_exact_or_truncated(&mut self.source, &mut self.buf)?;
         if checksum(&self.buf) != sec.checksum {
             return Err(SnapshotError::ShardCorrupt { shard });
         }
         codec::decode_instances_into(&self.buf, sec.rows as usize, n_batches, n_workers, out)
     }
 
+    /// Reads every shard onto `dataset`, the entity tables this snapshot's
+    /// meta decoded to, and validates the whole table.
+    pub(crate) fn into_snapshot(
+        mut self,
+        mut dataset: Dataset,
+        derived: Option<Derived>,
+    ) -> Result<Snapshot, SnapshotError> {
+        dataset.instances.reserve(self.directory.n_rows() as usize);
+        let (n_batches, n_workers) = (dataset.batches.len(), dataset.workers.len());
+        for shard in 0..self.directory.n_shards() {
+            self.read_into(shard, n_batches, n_workers, &mut dataset.instances)?;
+        }
+        dataset.validate().map_err(|_| SnapshotError::Corrupt("dataset integrity"))?;
+        Ok(Snapshot { dataset, derived })
+    }
+
     /// Streams every shard through the fused scan: the calling thread
     /// reads and decodes the next shard while the pool folds the last.
-    /// `entities` must be the tables this file's meta decoded to (shard
-    /// references are checked against them) and `metrics` its persisted
-    /// enrichment.
+    /// `entities` must be the tables this snapshot's meta decoded to
+    /// (shard references are checked against them) and `metrics` its
+    /// persisted enrichment.
     pub(crate) fn fused(
         &mut self,
         entities: &Dataset,
@@ -225,39 +288,9 @@ impl ShardedSnapshotReader {
         path: impl AsRef<Path>,
         expected_fingerprint: u64,
     ) -> Result<ShardedSnapshotReader, SnapshotError> {
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut header = [0u8; HEADER_LEN];
-        read_exact_or_truncated(&mut file, &mut header)?;
-        let (payload_len, stored_sum) = read_header(&header, expected_fingerprint)?;
-        // Bound the meta allocation by the actual file size before trusting
-        // the header's length field.
-        if payload_len > file_len.saturating_sub(HEADER_LEN as u64) {
-            return Err(SnapshotError::Truncated);
-        }
-        let sections_start = HEADER_LEN as u64 + payload_len;
-        let mut meta = vec![0u8; payload_len as usize];
-        read_exact_or_truncated(&mut file, &mut meta)?;
-        if checksum(&meta) != stored_sum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let decoded = codec::decode_meta(&meta)?;
-        match (sections_start + decoded.directory.sections_len()).cmp(&file_len) {
-            std::cmp::Ordering::Greater => return Err(SnapshotError::Truncated),
-            std::cmp::Ordering::Less => return Err(SnapshotError::Corrupt("trailing bytes")),
-            std::cmp::Ordering::Equal => {}
-        }
-        Ok(ShardedSnapshotReader {
-            entities: decoded.entities,
-            derived: decoded.derived,
-            sections: ShardSections {
-                file,
-                sections_start,
-                directory: decoded.directory,
-                time_max: decoded.time_max,
-                buf: Vec::new(),
-            },
-        })
+        let (entities, derived, sections) =
+            ShardSections::open(File::open(path)?, expected_fingerprint)?;
+        Ok(ShardedSnapshotReader { entities, derived, sections })
     }
 
     /// The shard directory.
@@ -331,17 +364,10 @@ impl ShardedSnapshotReader {
     }
 
     /// Loads every shard into a fully validated [`Snapshot`], consuming
-    /// the reader. Equivalent to [`crate::decode`] on the whole file but
-    /// never holds more than the dataset plus one section buffer.
+    /// the reader. The same checks as [`crate::decode`] on the whole file,
+    /// but never holds more than the dataset plus one section buffer.
     pub fn into_snapshot(self) -> Result<Snapshot, SnapshotError> {
-        let (mut dataset, derived, mut sections) = self.into_parts();
-        dataset.instances.reserve(sections.directory.n_rows() as usize);
-        let (n_batches, n_workers) = (dataset.batches.len(), dataset.workers.len());
-        for shard in 0..sections.directory.n_shards() {
-            sections.read_into(shard, n_batches, n_workers, &mut dataset.instances)?;
-        }
-        dataset.validate().map_err(|_| SnapshotError::Corrupt("dataset integrity"))?;
-        Ok(Snapshot { dataset, derived })
+        self.sections.into_snapshot(self.entities, self.derived)
     }
 }
 
@@ -391,10 +417,12 @@ mod tests {
         }
 
         // The streamed fused scan is bit-identical to the fused scan over
-        // the materialized study (Debug output covers every float).
+        // a study built in memory, whose enrichment equals the persisted
+        // one (Debug output covers every float).
         let streamed = reader.fused().expect("streamed scan");
-        let metrics = snap.derived.as_ref().unwrap().metrics.clone();
-        let study = crowd_analytics::Study::from_enrichment(snap.dataset.clone(), metrics);
+        let study = crowd_analytics::Study::new(snap.dataset.clone());
+        let metrics: Vec<_> = study.enriched_batches().cloned().collect();
+        assert_eq!(metrics, snap.derived.as_ref().unwrap().metrics);
         assert_eq!(format!("{streamed:?}"), format!("{:?}", study.fused()));
 
         // Full load through the reader equals the byte-level decode.

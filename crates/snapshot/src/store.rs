@@ -4,12 +4,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crowd_ingest::{is_transient, Backoff, Clock, SystemClock};
 use crowd_sim::SimConfig;
 
-use crate::{
-    encode_sharded, fingerprint, ShardedSnapshotReader, Snapshot, SnapshotError, SnapshotWriter,
-};
+use crate::{fingerprint, ShardedSnapshotReader, Snapshot, SnapshotError, SnapshotWriter};
 
 /// Environment variable naming the default snapshot directory (the CLI's
 /// `--snapshot-dir` flag overrides it, `--no-snapshot` ignores it).
@@ -18,13 +15,14 @@ pub const ENV_DIR: &str = "CROWD_SNAPSHOT_DIR";
 /// A directory of snapshot files, one per config fingerprint.
 ///
 /// Files are named `snap-<fingerprint:016x>.bin`, so distinct configs
-/// never collide and re-running a config overwrites its own entry. Writes
-/// go to a temporary sibling first and land via rename, so a crashed or
+/// never collide and re-running a config overwrites its own entry. Every
+/// file is written by a [`SnapshotWriter`] from
+/// [`open_writer`](Self::open_writer), which sweeps stale temps first:
+/// writes go to temporary siblings and land via rename, so a crashed or
 /// concurrent writer can leave at worst a stale temp file, never a torn
-/// snapshot under the final name. Each save sweeps those stale temps
-/// first, transient IO errors are retried under a bounded backoff, and
-/// saves that callers swallow (warm start treats a read-only cache as
-/// cold-every-time) are counted for observability.
+/// snapshot under the final name. Saves that callers swallow (warm start
+/// treats a read-only cache as cold-every-time) are counted for
+/// observability.
 ///
 /// Clones share the swallowed-save counter, so the count survives the
 /// clone-per-call patterns the warm-start paths use.
@@ -46,7 +44,8 @@ impl std::fmt::Debug for SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// A store rooted at `dir` (created lazily on first save).
+    /// A store rooted at `dir` (created lazily by the first
+    /// [`open_writer`](Self::open_writer)).
     pub fn new(dir: impl Into<PathBuf>) -> SnapshotStore {
         SnapshotStore { dir: dir.into(), swallowed: Arc::new(AtomicU64::new(0)), shards: 1 }
     }
@@ -56,13 +55,13 @@ impl SnapshotStore {
         std::env::var(ENV_DIR).ok().filter(|v| !v.is_empty()).map(SnapshotStore::new)
     }
 
-    /// Sets how many instance shards [`save`](Self::save) and
-    /// [`open_writer`](Self::open_writer) partition a snapshot into (the
-    /// `--shards` knob). A pure file-*layout* choice: the fingerprint, the
-    /// decoded contents, the build path, and every scan result are
-    /// bit-identical at any shard count — only the granularity of partial
-    /// reads, corruption isolation, and how many rows one streamed section
-    /// holds change. Readers stream whatever layout is on disk.
+    /// Sets how many instance shards [`open_writer`](Self::open_writer)
+    /// partitions a snapshot into (the `--shards` knob). A pure
+    /// file-*layout* choice: the fingerprint, the decoded contents, the
+    /// build path, and every scan result are bit-identical at any shard
+    /// count — only the granularity of partial reads, corruption
+    /// isolation, and how many rows one streamed section holds change.
+    /// Readers stream whatever layout is on disk.
     pub fn with_shards(mut self, shards: usize) -> SnapshotStore {
         self.shards = shards.max(1);
         self
@@ -96,11 +95,11 @@ impl SnapshotStore {
         ShardedSnapshotReader::open(self.path_for(cfg), fingerprint(cfg))
     }
 
-    /// Opens an incremental [`SnapshotWriter`] for `cfg` — the streaming
-    /// dual of [`save`](Self::save): shard sections land on disk as the
-    /// producer flushes them, the meta payload and directory are written
-    /// last, and the file publishes atomically on
-    /// [`finish`](SnapshotWriter::finish).
+    /// Opens an incremental [`SnapshotWriter`] for `cfg`, the one way a
+    /// snapshot file is written: stale temps are swept first, shard
+    /// sections land on disk as the producer flushes them, the meta
+    /// payload and directory are written last, and the file publishes
+    /// atomically on [`finish`](SnapshotWriter::finish).
     ///
     /// `planned_rows` sizes the shard layout up front (the store's shard
     /// count divides it into chunk-aligned pieces); an estimate is fine —
@@ -137,34 +136,6 @@ impl SnapshotStore {
         swept
     }
 
-    /// Writes the snapshot for `cfg`, returning the final path.
-    ///
-    /// Stale temp files are swept first; transient IO errors
-    /// (`Interrupted`, `WouldBlock`) are retried under the default
-    /// [`Backoff`]; anything else is surfaced after cleaning up the temp.
-    pub fn save(&self, cfg: &SimConfig, snapshot: &Snapshot) -> Result<PathBuf, SnapshotError> {
-        std::fs::create_dir_all(&self.dir)?;
-        self.sweep_stale();
-        let path = self.path_for(cfg);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let bytes = encode_sharded(snapshot, fingerprint(cfg), self.shards);
-        let backoff = Backoff::default();
-        let mut retries = 0u32;
-        loop {
-            match std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path)) {
-                Ok(()) => return Ok(path),
-                Err(e) if is_transient(&e) && retries < backoff.max_retries => {
-                    SystemClock.sleep(backoff.delay(retries));
-                    retries += 1;
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-
     /// Records a save failure the caller swallowed (fell back to running
     /// cold). The warm-start paths call this so degraded caches are
     /// observable instead of silent.
@@ -190,16 +161,25 @@ mod tests {
         SnapshotStore::new(dir)
     }
 
+    /// Streams the simulation of `cfg` through the store's writer, with no
+    /// derived artifacts.
+    fn save(store: &SnapshotStore, cfg: &SimConfig) -> Result<PathBuf, SnapshotError> {
+        let sim = crowd_sim::prepare_streamed(cfg);
+        let mut writer = store.open_writer(cfg, sim.planned_rows())?;
+        let shard_rows = writer.shard_rows();
+        let entities = sim.run(cfg, shard_rows, &mut writer)?;
+        writer.finish(&entities, None)
+    }
+
     #[test]
     fn save_then_load_hits() {
         let store = temp_store("hit");
         let cfg = SimConfig::tiny(11);
         assert!(matches!(store.load(&cfg), Err(SnapshotError::Io(_))), "cold miss");
-        let snap = Snapshot { dataset: crowd_sim::simulate(&cfg), derived: None };
-        let path = store.save(&cfg, &snap).expect("save");
+        let path = save(&store, &cfg).expect("save");
         assert!(path.exists());
         let back = store.load(&cfg).expect("warm hit");
-        assert_eq!(back.dataset.instances, snap.dataset.instances);
+        assert_eq!(back.dataset.instances, crowd_sim::simulate(&cfg).instances);
         // A different config is a different key: still a miss.
         assert!(store.load(&SimConfig::tiny(12)).is_err());
         let _ = std::fs::remove_dir_all(store.dir());
@@ -226,8 +206,7 @@ mod tests {
         std::fs::write(&own, b"in flight").unwrap();
 
         let cfg = SimConfig::tiny(13);
-        let snap = Snapshot { dataset: crowd_sim::simulate(&cfg), derived: None };
-        store.save(&cfg, &snap).expect("save");
+        save(&store, &cfg).expect("save");
 
         assert!(!stale.exists(), "stale foreign temp removed");
         assert!(own.exists(), "this process's temp is never swept");
@@ -261,8 +240,7 @@ mod tests {
         std::fs::write(&blocker, b"not a directory").unwrap();
         let store = SnapshotStore::new(blocker.join("store"));
         let cfg = SimConfig::tiny(14);
-        let snap = Snapshot { dataset: crowd_sim::simulate(&cfg), derived: None };
-        assert!(matches!(store.save(&cfg, &snap), Err(SnapshotError::Io(_))));
+        assert!(matches!(save(&store, &cfg), Err(SnapshotError::Io(_))));
         let _ = std::fs::remove_file(&blocker);
     }
 }

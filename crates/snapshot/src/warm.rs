@@ -14,38 +14,39 @@
 //!   [`ShardedSnapshotReader`](crate::ShardedSnapshotReader) opened and
 //!   verified, so a warm start opens and decodes the file once. No
 //!   simulation, shingling, LSH or feature extraction runs;
-//! * snapshot opens but was derived with *different* cluster parameters →
-//!   load the dataset (simulation still skipped), recompute clustering
-//!   and enrichment, rewrite the snapshot with the new artifacts;
-//! * snapshot missing or fails **any** integrity check → streaming cold
-//!   build (DESIGN.md §16): [`crowd_sim::prepare_streamed`] builds
-//!   entities first, then each finished shard of rows is forked into a
-//!   [`SnapshotWriter`](crate::SnapshotWriter) and a
-//!   [`StreamingEnricher`], so the full instance table never exists in
-//!   memory at once;
+//! * anything else — no file, a file that fails **any** integrity check,
+//!   or artifacts derived with other cluster parameters (or none) →
+//!   streaming cold build (DESIGN.md §16): [`crowd_sim::prepare_streamed`]
+//!   builds entities first, then each finished shard of rows is forked
+//!   into a [`SnapshotWriter`] and a [`StreamingEnricher`], so the full
+//!   instance table never exists in memory at once, and the published
+//!   file replaces the old one;
 //! * a shard section damaged after its meta verified is caught by its own
-//!   checksum when the fused scan streams it; the scan then re-simulates
-//!   and republishes a valid snapshot.
+//!   checksum when the fused scan streams it; the scan then rebuilds and
+//!   republishes the file through the same streaming build and scans the
+//!   fresh file.
 //!
 //! Correctness never depends on the cache: a corrupt file costs one cold
 //! run, not a wrong answer. Save errors are deliberately swallowed too (a
 //! read-only cache directory degrades to cold-every-time, it does not
 //! break the run), but each one is counted
-//! ([`SnapshotStore::swallowed_saves`]); an unwritable store or an IO
-//! failure mid-build falls back to the no-store build.
+//! ([`SnapshotStore::swallowed_saves`]). Only when the store cannot be
+//! used — an IO failure during a build, or a rebuilt file that fails again
+//! — does a study hold its whole instance table: it is then built in
+//! memory, as with no store.
 
 use std::sync::{Mutex, PoisonError};
 
 use crowd_analytics::fused::Fused;
 use crowd_analytics::study::{enrich_batches, sampled_docs, BatchMetrics, StreamingEnricher};
 use crowd_analytics::Study;
-use crowd_cluster::{ClusterParams, Clusterer, Clustering};
+use crowd_cluster::{ClusterParams, Clusterer};
 use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::shard::ShardSink;
 use crowd_sim::{simulate, SimConfig};
 
 use crate::sharded::ShardSections;
-use crate::{Derived, Snapshot, SnapshotError, SnapshotStore};
+use crate::{Derived, SnapshotError, SnapshotStore, SnapshotWriter};
 
 /// [`Study::new`] with snapshot caching: read-on-hit, write-on-miss.
 ///
@@ -65,47 +66,59 @@ pub fn study_with_params(
     let Some(store) = store else {
         return Study::with_cluster_params(simulate(cfg), params);
     };
-    if let Ok(reader) = store.open_reader(cfg) {
-        if reader.derived().map(|d| d.params == params) == Some(true) {
-            // Full hit: entities + persisted enrichment only. The rows stay
-            // on disk; the fused scan streams them back on first use.
-            let n_rows = reader.directory().n_rows() as usize;
-            let (entities, derived, sections) = reader.into_parts();
-            let d = derived.expect("params just matched on this derived section");
-            return Study::from_enrichment_streamed(
-                entities,
-                d.metrics,
-                n_rows,
-                fused_source(cfg, params, store, Some(sections)),
-            );
-        }
-        // Derived mismatch: the dataset is still good, so load it (one
-        // shard buffer at a time) and rewrite with fresh artifacts. A
-        // shard that fails integrity drops to the cold rebuild below.
-        if let Ok(snap) = reader.into_snapshot() {
-            return build_and_persist(cfg, params, store, snap.dataset);
-        }
-    }
-    // Miss or integrity failure: streamed cold build, rewrite.
-    build_streamed(cfg, params, store)
+    let hit =
+        store.open_reader(cfg).ok().filter(|r| r.derived().is_some_and(|d| d.params == params));
+    let Some(reader) = hit else {
+        // Miss, integrity failure or other parameters: rebuild, rewrite.
+        return build_streamed(cfg, params, store);
+    };
+    // Full hit: entities + persisted enrichment only. The rows stay on
+    // disk; the fused scan streams them back on first use.
+    let n_rows = reader.directory().n_rows() as usize;
+    let (entities, derived, sections) = reader.into_parts();
+    let d = derived.expect("params just matched on this derived section");
+    Study::from_enrichment_streamed(
+        entities,
+        d.metrics,
+        n_rows,
+        fused_source(cfg, params, store, Some(sections)),
+    )
 }
 
-/// Streaming cold build: entities are generated first, clustering and
-/// shard layout come from them alone, and then each finished shard of
-/// instance rows is flushed to the [`SnapshotWriter`](crate::SnapshotWriter)
-/// *and* folded into the [`StreamingEnricher`] before the next shard is
-/// produced. Peak memory is the entity tables plus ~one shard of rows.
+/// Streaming cold build ([`publish_streamed`]) into a columns-optional
+/// study over the published file. If the build fails on IO, the run
+/// completes without the store: the no-store build, counted as a
+/// swallowed save.
 fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore) -> Study {
-    let sim = crowd_sim::prepare_streamed(cfg);
-    let mut writer = match store.open_writer(cfg, sim.planned_rows()) {
-        Ok(w) => w,
+    match publish_streamed(cfg, params, store) {
+        Ok((entities, metrics, n_rows)) => Study::from_enrichment_streamed(
+            entities,
+            metrics,
+            n_rows,
+            fused_source(cfg, params, store, None),
+        ),
         Err(_) => {
-            // Nowhere to stream shards to: degrade to the no-store cold
-            // build, counted like every other swallowed save.
             store.note_swallowed_save();
-            return Study::with_cluster_params(simulate(cfg), params);
+            Study::with_cluster_params(simulate(cfg), params)
         }
-    };
+    }
+}
+
+/// Streams a cold build into the store: entities are generated first,
+/// clustering and shard layout come from them alone, and then each
+/// finished shard of instance rows is flushed to the [`SnapshotWriter`]
+/// *and* folded into the [`StreamingEnricher`] before the next shard is
+/// produced, so peak memory is the entity tables plus ~one shard of rows.
+/// Publishes the file and returns the entity tables, the per-batch
+/// enrichment and the row count; on an IO error nothing is published and
+/// the writer's temps are removed.
+fn publish_streamed(
+    cfg: &SimConfig,
+    params: ClusterParams,
+    store: &SnapshotStore,
+) -> Result<(Dataset, Vec<BatchMetrics>, usize), SnapshotError> {
+    let sim = crowd_sim::prepare_streamed(cfg);
+    let mut writer = store.open_writer(cfg, sim.planned_rows())?;
 
     // Clustering needs only the batch HTML, which lives in the entity
     // tables — it runs before a single instance row exists.
@@ -119,13 +132,9 @@ fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore)
     let mut sink = BuildSink { writer: &mut writer, enricher: &mut enricher };
     let entities = match sim.run(cfg, shard_rows, &mut sink) {
         Ok(entities) => entities,
-        Err(_) => {
-            // Disk died mid-build. The writer's temps are cleaned up and
-            // the run completes without the store — correctness never
-            // depends on the cache.
+        Err(e) => {
             writer.abort();
-            store.note_swallowed_save();
-            return Study::with_clustering(simulate(cfg), clustering);
+            return Err(e);
         }
     };
 
@@ -138,27 +147,14 @@ fn build_streamed(cfg: &SimConfig, params: ClusterParams, store: &SnapshotStore)
         signatures,
         metrics,
     };
-    match writer.finish(&entities, Some(&derived)) {
-        Ok(_) => Study::from_enrichment_streamed(
-            entities,
-            derived.metrics,
-            n_rows,
-            fused_source(cfg, params, store, None),
-        ),
-        Err(_) => {
-            // The shards never published, so the columns-optional study
-            // would have nothing to stream from: re-simulate the rows (the
-            // enrichment is already computed and bit-identical).
-            store.note_swallowed_save();
-            Study::from_enrichment(simulate(cfg), derived.metrics)
-        }
-    }
+    writer.finish(&entities, Some(&derived))?;
+    Ok((entities, derived.metrics, n_rows))
 }
 
 /// Forks each finished shard to the snapshot writer and the streaming
 /// enricher without cloning it — both sinks see the same borrow.
 struct BuildSink<'a> {
-    writer: &'a mut crate::SnapshotWriter,
+    writer: &'a mut SnapshotWriter,
     enricher: &'a mut StreamingEnricher,
 }
 
@@ -179,10 +175,13 @@ impl ShardSink for BuildSink<'_> {
 /// and verified (`sections`), or, after a cold build, which holds no
 /// reader, those of the file re-opened on first use. The shards decode
 /// against the study's own entities and fold with its own batch metrics.
-/// If a section fails its checksum, or the file is gone, fall back to a
-/// full re-simulation that also republishes a valid snapshot — one slow
-/// (but correct) answer, never a wrong one, and the next warm start reads
-/// a sound file again.
+///
+/// If a section fails its checksum, or the file is gone, the file is
+/// rebuilt and republished by [`publish_streamed`] and the fresh file is
+/// scanned — one slow (but correct) answer, never a wrong one, and the
+/// next warm start reads a sound file again. If that rebuild cannot
+/// publish, or its file fails too, the answer comes from an in-memory
+/// build, counted as a swallowed save; there is no third attempt.
 fn fused_source(
     cfg: &SimConfig,
     params: ClusterParams,
@@ -196,34 +195,17 @@ fn fused_source(
         // call; any later call re-opens the file.
         let held = sections.lock().unwrap_or_else(PoisonError::into_inner).take();
         let metrics: Vec<BatchMetrics> = study.enriched_batches().cloned().collect();
-        held.map_or_else(|| store.open_reader(&cfg).map(|r| r.into_parts().2), Ok)
-            .and_then(|mut sections| sections.fused(study.dataset(), &metrics))
+        let scan = |held: Option<ShardSections>| {
+            held.map_or_else(|| store.open_reader(&cfg).map(|r| r.into_parts().2), Ok)
+                .and_then(|mut sections| sections.fused(study.dataset(), &metrics))
+        };
+        scan(held)
+            .or_else(|_| publish_streamed(&cfg, params, &store).and_then(|_| scan(None)))
             .unwrap_or_else(|_| {
-                build_and_persist(&cfg, params, &store, simulate(&cfg)).fused().clone()
+                store.note_swallowed_save();
+                Study::with_cluster_params(simulate(&cfg), params).fused().clone()
             })
     }
-}
-
-/// Clusters and enriches `ds`, persists dataset + artifacts, and returns
-/// the built `Study`. The snapshot is encoded *before* the dataset moves
-/// into the `Study`, so nothing is cloned on the way to disk.
-fn build_and_persist(
-    cfg: &SimConfig,
-    params: ClusterParams,
-    store: &SnapshotStore,
-    ds: Dataset,
-) -> Study {
-    let derived = compute_derived(&ds, params);
-    let snapshot = Snapshot { dataset: ds, derived: Some(derived) };
-    // Swallow save failures (a read-only cache degrades to cold-every-time,
-    // it does not break the run) — but count them so the degradation is
-    // observable through `SnapshotStore::swallowed_saves`.
-    if store.save(cfg, &snapshot).is_err() {
-        store.note_swallowed_save();
-    }
-    let Snapshot { dataset, derived } = snapshot;
-    let d = derived.expect("derived was just computed");
-    Study::from_enrichment(dataset, d.metrics)
 }
 
 /// Computes every derived artifact the snapshot persists: minhash
@@ -245,14 +227,10 @@ pub fn compute_derived(ds: &Dataset, params: ClusterParams) -> Derived {
     }
 }
 
-/// Rebuilds the [`Clustering`] a snapshot's derived section describes.
-pub fn clustering_from_derived(derived: &Derived) -> Option<Clustering> {
-    Clustering::from_parts(derived.labels.clone(), derived.n_clusters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Snapshot;
 
     fn temp_store(tag: &str) -> SnapshotStore {
         let dir =
@@ -298,9 +276,9 @@ mod tests {
     #[test]
     fn param_change_reuses_dataset_and_rewrites() {
         let cfg = SimConfig::tiny(22);
-        // Different clustering parameters: the dataset is reused, the
-        // derived section is recomputed and rewritten, and the result
-        // matches a cold run at those parameters.
+        // Different clustering parameters: the file is a miss, so the
+        // streamed build rewrites it with the new derived section, and the
+        // result matches a cold run at those parameters.
         let loose = ClusterParams { threshold: 0.3, ..ClusterParams::default() };
         let cold = Study::with_cluster_params(simulate(&cfg), loose);
         for shards in [1, 4] {
@@ -371,12 +349,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
+    /// The end of the fallback chain: a shard damaged behind a valid meta,
+    /// in a store that can no longer be written, still answers from
+    /// memory, and the republish that could not happen is counted.
     #[test]
-    fn clustering_round_trips_through_derived() {
-        let ds = simulate(&SimConfig::tiny(23));
-        let derived = compute_derived(&ds, ClusterParams::default());
-        let clustering = clustering_from_derived(&derived).expect("valid labels");
-        assert_eq!(clustering.labels(), &derived.labels[..]);
-        assert_eq!(clustering.n_clusters(), derived.n_clusters);
+    fn damaged_shard_in_an_unwritable_store_answers_from_memory() {
+        let cfg = SimConfig::tiny(27);
+        let store = temp_store("damaged-unwritable").with_shards(3);
+        let _ = study_from_config(&cfg, Some(&store));
+        let path = store.path_for(&cfg);
+        let mut bent = std::fs::read(&path).unwrap();
+        let at = bent.len() - 20;
+        bent[at] ^= 0x40;
+        std::fs::write(&path, &bent).unwrap();
+        let warm = study_from_config(&cfg, Some(&store));
+
+        // A file where the store directory was: nothing can be written.
+        let aside = store.dir().with_extension("aside");
+        let _ = std::fs::remove_dir_all(&aside);
+        std::fs::rename(store.dir(), &aside).unwrap();
+        std::fs::write(store.dir(), b"not a directory").unwrap();
+        assert_eq!(warm.fused(), Study::new(simulate(&cfg)).fused());
+        assert_eq!(store.swallowed_saves(), 1);
+        let _ = std::fs::remove_file(store.dir());
+        let _ = std::fs::remove_dir_all(&aside);
     }
 }

@@ -3,10 +3,10 @@
 //! after it.
 //!
 //! [`SnapshotWriter`] is the persistence end of the streaming build
-//! pipeline (DESIGN.md §16). It implements
-//! [`ShardSink`](crowd_core::shard::ShardSink): each completed shard is
-//! encoded, checksummed, and appended to a *sections* temp file
-//! immediately, and only its 20-byte directory entry stays in memory.
+//! pipeline (DESIGN.md §16), and the only writer of snapshot files. It
+//! implements [`ShardSink`]: each completed shard is encoded,
+//! checksummed, and appended to a *sections* temp file immediately, and
+//! only its 20-byte directory entry stays in memory.
 //! [`finish`](SnapshotWriter::finish) then assembles the final file —
 //! header, meta payload (entities, derived artifacts, shard directory,
 //! `time_max`) and the streamed sections — in a second temp and publishes
@@ -15,10 +15,9 @@
 //!
 //! ## Crash safety
 //!
-//! The same discipline as `crowd-ingest` exports and
-//! [`SnapshotStore::save`](crate::SnapshotStore::save): nothing ever
-//! appears under the final `snap-<fp>.bin` name except via `rename` of a
-//! fully written temp. A writer killed at *any* point — between shard
+//! The same discipline as `crowd-ingest` exports: nothing ever appears
+//! under the final `snap-<fp>.bin` name except via `rename` of a fully
+//! written temp. A writer killed at *any* point — between shard
 //! flushes, between the sections and the meta/directory assembly, or
 //! mid-rename — leaves only `snap-…tmp.<pid>` temps behind, which the
 //! store's [`sweep_stale`](crate::SnapshotStore::sweep_stale) removes on
@@ -35,6 +34,7 @@ use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::query::ScanPass;
 use crowd_core::shard::ShardSink;
 use crowd_core::time::Timestamp;
+use crowd_ingest::{retry_transient, Backoff, SystemClock};
 
 use crate::sharded::{ShardDirectory, ShardSectionInfo};
 use crate::{codec, format, Derived, SnapshotError};
@@ -125,6 +125,10 @@ impl SnapshotWriter {
     /// streamed sections into a temp, publishes it under the final name
     /// with one rename, and removes the sections temp. Returns the final
     /// path.
+    ///
+    /// Transient IO errors (`Interrupted`, `WouldBlock`) while assembling
+    /// and renaming retry the whole step under the default [`Backoff`];
+    /// anything else is surfaced after cleaning up both temps.
     pub fn finish(
         mut self,
         entities: &Dataset,
@@ -138,23 +142,23 @@ impl SnapshotWriter {
                 .expect("flush keeps every shard full except the last");
         let time_max = [self.time_max, entities.time_max()].into_iter().flatten().max();
         let meta = codec::encode_meta(entities, derived, &directory, time_max);
+        let header = format::header(self.fingerprint, &meta);
 
         let tmp = sibling_temp(&self.final_path, "assemble");
-        let result = (|| -> Result<(), SnapshotError> {
+        let (result, _retries) = retry_transient(&Backoff::default(), &SystemClock, || {
             let mut out = BufWriter::new(File::create(&tmp)?);
-            out.write_all(&format::header(self.fingerprint, &meta))?;
+            out.write_all(&header)?;
             out.write_all(&meta)?;
             std::io::copy(&mut File::open(&self.sections_path)?, &mut out)?;
             out.flush()?;
             drop(out);
-            std::fs::rename(&tmp, &self.final_path)?;
-            Ok(())
-        })();
+            std::fs::rename(&tmp, &self.final_path)
+        });
         let _ = std::fs::remove_file(&self.sections_path);
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
-        result.map(|()| self.final_path)
+        result.map(|()| self.final_path).map_err(SnapshotError::Io)
     }
 
     /// Abandons the write, removing the sections temp. The final path is

@@ -133,7 +133,7 @@ fn permuted(ds: &Dataset, order: &[usize]) -> Dataset {
 }
 
 /// Row orders the simulator never produces, each at least three
-/// [`CHUNK`]s long. Simulated rows arrive batch by batch, so every
+/// `CHUNK`s long. Simulated rows arrive batch by batch, so every
 /// worker's days, months and weeks — and every `(batch, item)` key —
 /// mostly ascend across chunks; these cases break that on purpose.
 ///
