@@ -7,31 +7,47 @@
 //! *stream id*, so a checkpoint from a different stream is rejected by
 //! the payload decoder exactly like a snapshot for the wrong config.
 //!
-//! Writes are atomic (temp file + rename), so a crash mid-write leaves
-//! either the previous set intact or a stray temp file — never a half
-//! checkpoint under a final name. Restores scan newest-to-oldest and
-//! fall back past torn or corrupt files, returning the skipped files as
-//! typed [`CheckpointFault`]s so callers can report (or alert on) the
-//! damage they stepped over.
+//! A write streams both, through [`SnapshotWriter`], straight from the
+//! service's own tables into a temp file that is synced and renamed into
+//! place, so a crash mid-write leaves either the previous set intact or a
+//! stray temp file — never a half checkpoint under a final name. Restores
+//! scan newest-to-oldest and fall back past torn or corrupt files (one
+//! written by another snapshot format version among them), returning the
+//! skipped files as typed [`CheckpointFault`]s so callers can report (or
+//! alert on) the damage they stepped over.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crowd_core::dataset::Dataset;
+use crowd_core::dataset::{Dataset, InstanceColumns};
+use crowd_core::ShardPlan;
 use crowd_ingest::killpoint::kill_point;
 use crowd_ingest::{retry_transient, Backoff, Clock, SystemClock};
 use crowd_snapshot::format::checksum;
-use crowd_snapshot::{decode, encode, Snapshot, SnapshotError};
+use crowd_snapshot::{decode, SnapshotError, SnapshotWriter};
 
 /// File magic for serve checkpoints (distinct from snapshot files).
 pub const CKPT_MAGIC: [u8; 8] = *b"CSRVCKP1";
 
 /// Fixed header size: magic + 5 × u64 counters + u64 checksum.
 const HEADER_LEN: usize = 8 + 6 * 8;
+
+/// The progress counters a checkpoint records beside the service's data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointProgress {
+    /// Events applied when the checkpoint was taken.
+    pub events_applied: u64,
+    /// Published service version at the checkpoint.
+    pub version: u64,
+    /// `Posted` events seen.
+    pub posted: u64,
+    /// `PickedUp` events seen.
+    pub picked_up: u64,
+}
 
 /// Everything needed to resume a [`crate::LiveService`].
 #[derive(Debug, Clone)]
@@ -102,10 +118,9 @@ impl From<std::io::Error> for CheckpointError {
 
 /// A directory of checkpoints for one event stream.
 ///
-/// Writes retry transient IO errors under a bounded [`Backoff`] (parity
-/// with `SnapshotStore`'s save path); clones share the retry counter, so
-/// the clone-per-call patterns the service uses still account every
-/// retry in one place.
+/// Writes retry transient IO errors under a bounded [`Backoff`]; clones
+/// share the retry counter, so the clone-per-call patterns the service
+/// uses still account every retry in one place.
 #[derive(Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -199,25 +214,32 @@ impl CheckpointStore {
         out
     }
 
-    /// Atomically writes a checkpoint; returns its final path. The state
-    /// is consumed: its dataset moves into the encoded snapshot instead of
-    /// being copied. Transient IO errors retry under the store's backoff;
-    /// anything else surfaces after removing the temp file.
-    pub fn write(&self, state: CheckpointState) -> Result<PathBuf, CheckpointError> {
-        assert_eq!(state.stream_id, self.stream_id, "checkpoint stream id mismatch");
+    /// Atomically writes a checkpoint of `progress`, the entity tables of
+    /// `entities` and the applied `rows`; returns its final path.
+    /// Transient IO errors retry the whole write under the store's
+    /// backoff; anything else surfaces after removing the temp file.
+    pub fn write(
+        &self,
+        progress: CheckpointProgress,
+        entities: &Dataset,
+        rows: &InstanceColumns,
+    ) -> Result<PathBuf, CheckpointError> {
         fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(state.events_applied);
-        let bytes = encode_checkpoint(state);
+        let path = self.path_for(progress.events_applied);
+        let header = encode_header(self.stream_id, progress);
+        let shard_rows = ShardPlan::new(rows.len(), 1).shard_rows();
         let tmp = path.with_extension("tmp");
         let result = self.retry_io(|| {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
+            let mut out = BufWriter::new(fs::File::create(&tmp)?);
+            out.write_all(&header)?;
+            let mut payload = SnapshotWriter::new(&mut out, self.stream_id, shard_rows)?;
+            payload.write_table(rows)?;
+            payload.finish(entities, None)?;
+            out.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
             // A kill here leaves a durable temp under a non-final name:
             // invisible to restore, swept by nothing, harmless.
             kill_point("ckpt.temp");
-            fs::rename(&tmp, &path)?;
-            Ok(())
+            fs::rename(&tmp, &path)
         });
         if let Err(e) = result {
             let _ = fs::remove_file(&tmp);
@@ -248,17 +270,17 @@ impl CheckpointStore {
     }
 }
 
-fn encode_checkpoint(state: CheckpointState) -> Vec<u8> {
-    let CheckpointState { stream_id, events_applied, version, posted, picked_up, dataset } = state;
-    let payload = encode(&Snapshot { dataset, derived: None }, stream_id);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// The checkpoint header: magic, stream id, progress counters, and a
+/// checksum over all of them.
+fn encode_header(stream_id: u64, progress: CheckpointProgress) -> Vec<u8> {
+    let CheckpointProgress { events_applied, version, posted, picked_up } = progress;
+    let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(&CKPT_MAGIC);
     for v in [stream_id, events_applied, version, posted, picked_up] {
         out.extend_from_slice(&v.to_le_bytes());
     }
     let hdr_checksum = checksum(&out);
     out.extend_from_slice(&hdr_checksum.to_le_bytes());
-    out.extend_from_slice(&payload);
     out
 }
 
@@ -298,27 +320,31 @@ mod tests {
     use crowd_core::fixture::Fixture;
     use crowd_core::Duration;
 
-    fn state(events: u64) -> CheckpointState {
+    /// Progress at `events` applied events, and a one-row dataset.
+    fn state(events: u64) -> (CheckpointProgress, Dataset) {
         let mut fx = Fixture::new();
         let w = fx.add_worker();
         let b = fx.add_batch(Duration::ZERO);
         fx.instance(b, 0, w, 60, 30);
-        CheckpointState {
-            stream_id: 0xfeed,
+        let progress = CheckpointProgress {
             events_applied: events,
             version: events / 2,
             posted: 1,
             picked_up: 1,
-            dataset: fx.finish(),
-        }
+        };
+        (progress, fx.finish())
+    }
+
+    fn write(store: &CheckpointStore, (progress, ds): (CheckpointProgress, Dataset)) -> PathBuf {
+        store.write(progress, &ds, &ds.instances).unwrap()
     }
 
     #[test]
     fn round_trip_restores_counters_and_rows() {
         let dir = std::env::temp_dir().join(format!("crowd-serve-ckpt-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
-        store.write(state(10)).unwrap();
-        store.write(state(20)).unwrap();
+        write(&store, state(10));
+        write(&store, state(20));
         let (got, faults) = store.load_latest().unwrap();
         assert!(faults.is_empty());
         assert_eq!(got.events_applied, 20);
@@ -331,8 +357,8 @@ mod tests {
     fn torn_newest_falls_back_to_previous_with_typed_fault() {
         let dir = std::env::temp_dir().join(format!("crowd-serve-torn-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
-        store.write(state(10)).unwrap();
-        let newest = store.write(state(20)).unwrap();
+        write(&store, state(10));
+        let newest = write(&store, state(20));
         // Tear the newest file mid-payload.
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
@@ -348,7 +374,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("crowd-serve-dead-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
         for ev in [10, 20] {
-            let p = store.write(state(ev)).unwrap();
+            let p = write(&store, state(ev));
             fs::write(&p, b"CSRVCKP1 garbage").unwrap();
         }
         match store.load_latest() {
@@ -405,7 +431,7 @@ mod tests {
     fn wrong_stream_id_is_rejected() {
         let dir = std::env::temp_dir().join(format!("crowd-serve-stream-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
-        store.write(state(10)).unwrap();
+        write(&store, state(10));
         let other = CheckpointStore::new(&dir, 0xbeef);
         assert!(matches!(other.load_latest(), Err(CheckpointError::NoValidCheckpoint { .. })));
         fs::remove_dir_all(&dir).ok();

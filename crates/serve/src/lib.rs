@@ -38,7 +38,9 @@ pub mod queue;
 pub mod replay;
 pub mod service;
 
-pub use checkpoint::{CheckpointError, CheckpointFault, CheckpointState, CheckpointStore};
+pub use checkpoint::{
+    CheckpointError, CheckpointFault, CheckpointProgress, CheckpointState, CheckpointStore,
+};
 pub use query::{Dashboard, SourceLoad, WeekThroughput};
 pub use queue::{Admission, ApplyQueue, QueueStats, ShedPolicy};
 pub use replay::{entities_only, EventFeed};

@@ -36,7 +36,9 @@ use crowd_ingest::killpoint::kill_point;
 use crowd_ingest::wal::{replay as wal_replay, truncate_torn, WalOptions, WalWriter};
 use crowd_ingest::{MarketEvent, WalError, WalFault};
 
-use crate::checkpoint::{CheckpointError, CheckpointFault, CheckpointState, CheckpointStore};
+use crate::checkpoint::{
+    CheckpointError, CheckpointFault, CheckpointProgress, CheckpointState, CheckpointStore,
+};
 use crate::replay::entities_only;
 
 /// Monotone event counters plus durability/overload telemetry, published
@@ -491,9 +493,9 @@ impl LiveService {
             view: view_snap,
         });
         self.shared.publish(Arc::clone(&snap));
-        if let Some((store, every)) = &self.checkpoints {
+        if let Some((_, every)) = &self.checkpoints {
             if self.events_applied / every > before / every {
-                store.write(self.checkpoint_state()).map_err(ServeError::Checkpoint)?;
+                self.checkpoint_now()?;
                 // The checkpoint now covers everything applied; WAL
                 // segments wholly before it are dead weight.
                 if let Some(wal) = &mut self.wal {
@@ -533,26 +535,19 @@ impl LiveService {
         })
     }
 
-    /// Writes a checkpoint now (regardless of cadence). Panics if the
-    /// service has no checkpoint store configured.
-    pub fn checkpoint_now(&self) -> Result<std::path::PathBuf, ServeError> {
+    /// Writes a checkpoint now (regardless of cadence), streamed from the
+    /// service's own entity tables and rows. Panics if the service has no
+    /// checkpoint store configured.
+    pub fn checkpoint_now(&self) -> Result<PathBuf, ServeError> {
         let (store, _) =
             self.checkpoints.as_ref().expect("checkpoint_now requires with_checkpoints/restore");
-        store.write(self.checkpoint_state()).map_err(ServeError::Checkpoint)
-    }
-
-    fn checkpoint_state(&self) -> CheckpointState {
-        let (store, _) = self.checkpoints.as_ref().expect("checked by callers");
-        let mut dataset = entities_only(&self.entities);
-        dataset.instances = self.rows.clone_range(0..self.rows.len());
-        CheckpointState {
-            stream_id: store.stream_id(),
+        let progress = CheckpointProgress {
             events_applied: self.events_applied,
             version: self.version,
             posted: self.gauges.posted,
             picked_up: self.gauges.picked_up,
-            dataset,
-        }
+        };
+        store.write(progress, &self.entities, &self.rows).map_err(ServeError::Checkpoint)
     }
 
     /// The cold batch oracle: a fresh [`Study`] over the entities plus

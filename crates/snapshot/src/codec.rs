@@ -2,7 +2,7 @@
 //! per-shard verbatim instance columns, and the derived-artifact section.
 //!
 //! The codec is split along the file's two-tier layout: [`encode_meta`] /
-//! [`decode_meta`] handle everything the header checksum covers (entities,
+//! [`decode_meta`] handle everything the trailer's checksum covers (entities,
 //! batches, derived artifacts, shard directory), while [`encode_instances`]
 //! / [`decode_instances_into`] handle one shard's slice of the instance
 //! table — each shard section is self-contained so it can be read,
@@ -41,7 +41,7 @@ pub(crate) struct DecodedMeta {
     pub entities: Dataset,
     /// Derived artifacts, when persisted.
     pub derived: Option<Derived>,
-    /// Shard directory for the instance sections that follow the payload.
+    /// Shard directory for the instance sections in front of the meta.
     pub directory: ShardDirectory,
     /// The dataset's `time_max` at encode time (instance end times are not
     /// recoverable from the entity tables alone).
@@ -282,15 +282,19 @@ pub(crate) fn decode_meta(payload: &[u8]) -> Result<DecodedMeta, SnapshotError> 
     };
 
     // ---- shard directory -------------------------------------------------
+    let bad_directory = SnapshotError::Corrupt("shard directory");
     let n_rows = r.u64()?;
-    let shard_rows = r.u64()?;
+    let Some(mut directory) = ShardDirectory::new(r.u64()?) else { return Err(bad_directory) };
     let n_shards = r.len_prefix(20)?; // 20 bytes per directory entry
-    let mut sections = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
-        sections.push(ShardSectionInfo { rows: r.u32()?, byte_len: r.u64()?, checksum: r.u64()? });
+        let section = ShardSectionInfo { rows: r.u32()?, byte_len: r.u64()?, checksum: r.u64()? };
+        if !directory.push(section) {
+            return Err(bad_directory);
+        }
     }
-    let directory = ShardDirectory::from_parts(n_rows, shard_rows, sections)
-        .ok_or(SnapshotError::Corrupt("shard directory"))?;
+    if directory.n_rows() != n_rows {
+        return Err(bad_directory);
+    }
     let time_max = match r.u8()? {
         0 => None,
         1 => Some(Timestamp::from_secs(r.i64()?)),
@@ -396,8 +400,7 @@ fn words<'a, const W: usize>(
     r: &mut ByteReader<'a>,
     n: usize,
 ) -> Result<impl Iterator<Item = [u8; W]> + 'a, SnapshotError> {
-    let bytes = r.take(n * W)?;
-    Ok(bytes.chunks_exact(W).map(|b| b.try_into().expect("chunks_exact yields W bytes")))
+    Ok(r.take(n * W)?.as_chunks::<W>().0.iter().copied())
 }
 
 fn decode_derived(r: &mut ByteReader<'_>, ds: &Dataset) -> Result<Derived, SnapshotError> {
@@ -489,7 +492,9 @@ fn opt_f64_read(r: &mut ByteReader<'_>) -> Result<Option<f64>, SnapshotError> {
 /// [`SourceKind`] on-disk tag: the variant's index in [`SourceKind::ALL`],
 /// which is append-only.
 fn kind_tag(kind: SourceKind) -> u8 {
-    SourceKind::ALL.iter().position(|&k| k == kind).expect("ALL covers every variant") as u8
+    // `ALL` lists every variant, so the fallback (refused on read) is
+    // never written.
+    SourceKind::ALL.iter().position(|&k| k == kind).map_or(u8::MAX, |tag| tag as u8)
 }
 
 fn kind_from_tag(tag: u8) -> Result<SourceKind, SnapshotError> {

@@ -4,37 +4,42 @@
 //! scalars, length-prefixed byte strings, length-prefixed homogeneous
 //! arrays of scalars, and the payload checksum. [`ByteWriter`] and
 //! [`ByteReader`] implement those shapes symmetrically; the section codecs
-//! in `codec` never touch raw bytes directly. The fixed file
-//! header has one writer (`header`) and one parser (`read_header`),
-//! shared by the in-memory and streaming encoders and decoders.
+//! in `codec` never touch raw bytes directly. The fixed header and trailer
+//! each have one writer (`header`, `trailer`) and one parser
+//! (`read_header`, `read_trailer`).
 //!
 //! The reader is written for the hostile-input case: every read is
 //! bounds-checked and returns [`SnapshotError::Truncated`] instead of
 //! panicking, because a corrupt or short file must fall back to a fresh
 //! simulation, never abort the process.
 
+use std::cmp::Ordering;
+
 use crate::{SnapshotError, FORMAT_VERSION, MAGIC};
 
-/// Bytes of the fixed file header in front of the meta payload.
-pub(crate) const HEADER_LEN: usize = 40;
+/// Bytes of the fixed file header in front of the shard sections.
+pub const HEADER_LEN: usize = 24;
 
-/// The file header for `meta`: magic, format version, reserved flags (0),
-/// config fingerprint, meta payload length and meta payload checksum.
-pub(crate) fn header(fingerprint: u64, meta: &[u8]) -> [u8; HEADER_LEN] {
+/// Bytes of the fixed trailer behind the meta payload.
+pub const TRAILER_LEN: usize = 32;
+
+/// The last 8 bytes of every snapshot.
+const END_MAGIC: [u8; 8] = *b"CROWDEND";
+
+/// The file header: magic, format version, flags (0), config fingerprint.
+pub(crate) fn header(fingerprint: u64) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[..8].copy_from_slice(&MAGIC);
     out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     out[16..24].copy_from_slice(&fingerprint.to_le_bytes());
-    out[24..32].copy_from_slice(&(meta.len() as u64).to_le_bytes());
-    out[32..40].copy_from_slice(&checksum(meta).to_le_bytes());
     out
 }
 
-/// Parses the header at the start of `bytes`, checking in order magic,
-/// format version and `fingerprint`, and returns the meta payload's
-/// length and stored checksum. Input that ends inside the header fails
-/// as [`SnapshotError::Truncated`] at the first field it cuts.
-pub(crate) fn read_header(bytes: &[u8], fingerprint: u64) -> Result<(u64, u64), SnapshotError> {
+/// Checks the header at the start of `bytes`, in order: magic, format
+/// version, flags (must be 0) and `fingerprint`. Input that ends inside
+/// the header fails as [`SnapshotError::Truncated`] at the first field it
+/// cuts.
+pub(crate) fn read_header(bytes: &[u8], fingerprint: u64) -> Result<(), SnapshotError> {
     let mut r = ByteReader::new(bytes);
     if r.take(MAGIC.len())? != MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -43,14 +48,44 @@ pub(crate) fn read_header(bytes: &[u8], fingerprint: u64) -> Result<(u64, u64), 
     if version != FORMAT_VERSION {
         return Err(SnapshotError::VersionMismatch { found: version });
     }
-    let _flags = r.u32()?;
+    if r.u32()? != 0 {
+        return Err(SnapshotError::Corrupt("header flags"));
+    }
     let found = r.u64()?;
     if found != fingerprint {
         return Err(SnapshotError::FingerprintMismatch { found, expected: fingerprint });
     }
-    let len = r.u64()?;
-    let sum = r.u64()?;
-    Ok((len, sum))
+    Ok(())
+}
+
+/// The trailer of a file whose meta payload `meta` starts at `meta_offset`:
+/// meta offset, meta length, meta checksum, end magic.
+pub(crate) fn trailer(meta_offset: u64, meta: &[u8]) -> [u8; TRAILER_LEN] {
+    let mut out = [0u8; TRAILER_LEN];
+    out[..8].copy_from_slice(&meta_offset.to_le_bytes());
+    out[8..16].copy_from_slice(&(meta.len() as u64).to_le_bytes());
+    out[16..24].copy_from_slice(&checksum(meta).to_le_bytes());
+    out[24..].copy_from_slice(&END_MAGIC);
+    out
+}
+
+/// Parses `bytes`, the last [`TRAILER_LEN`] bytes of a `file_len`-byte
+/// snapshot, into the meta's offset, length and stored checksum. No end
+/// magic (the file was cut, or had bytes appended), or a meta running
+/// past the trailer, is [`SnapshotError::Truncated`]; a meta starting
+/// inside the header or stopping short of the trailer is `Corrupt`.
+pub(crate) fn read_trailer(bytes: &[u8], file_len: u64) -> Result<(u64, u64, u64), SnapshotError> {
+    let mut r = ByteReader::new(bytes);
+    let (offset, len, sum) = (r.u64()?, r.u64()?, r.u64()?);
+    if r.take(END_MAGIC.len())? != END_MAGIC {
+        return Err(SnapshotError::Truncated);
+    }
+    let body_end = file_len.saturating_sub(TRAILER_LEN as u64);
+    match offset.checked_add(len).map(|end| end.cmp(&body_end)) {
+        Some(Ordering::Equal) if offset >= HEADER_LEN as u64 => Ok((offset, len, sum)),
+        None | Some(Ordering::Greater) => Err(SnapshotError::Truncated),
+        _ => Err(SnapshotError::Corrupt("trailer offsets")),
+    }
 }
 
 /// Appends little-endian values to a growing byte buffer.
@@ -68,16 +103,6 @@ impl ByteWriter {
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Writes one byte.
@@ -173,6 +198,13 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    /// Takes the next `N` raw bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let out = self.buf[self.pos..].first_chunk::<N>().ok_or(SnapshotError::Truncated)?;
+        self.pos += N;
+        Ok(*out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
@@ -180,22 +212,22 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f32` bit pattern.
@@ -270,11 +302,10 @@ fn mix(mut z: u64) -> u64 {
 /// is verified on every warm start.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h = mix(0xC0FF_EE00_5EED ^ bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        h = mix(h ^ u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+    let (blocks, rem) = bytes.as_chunks::<8>();
+    for block in blocks {
+        h = mix(h ^ u64::from_le_bytes(*block));
     }
-    let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);

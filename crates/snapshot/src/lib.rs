@@ -1,65 +1,62 @@
 //! Persistent binary snapshot cache: zero-resimulate warm starts.
 //!
 //! The `Dataset`, its clustering, and its per-batch enrichment are pure
-//! functions of the [`SimConfig`] — yet every repro/export/bench run used
-//! to re-pay the full generative pipeline (simulation, shingling, LSH,
-//! feature extraction). This crate dumps all of that, once, into a
-//! versioned, checksummed, little-endian binary columnar file, keyed by a
-//! config fingerprint; subsequent runs with the same config load the file
-//! and go straight to the fused scan.
+//! functions of the [`SimConfig`]. This crate writes all of that, once,
+//! into a versioned, checksummed, little-endian binary columnar file,
+//! keyed by a config fingerprint; later runs with the same config load
+//! the file and go straight to the fused scan.
 //!
 //! ## File layout (version [`FORMAT_VERSION`])
 //!
 //! ```text
-//! header   magic "CROWDSNP" · version u32 · flags u32 (reserved, 0)
-//!          · fingerprint u64 · payload_len u64 · checksum u64
-//! payload  entity sections   sources · countries · workers · task types
-//!          batch section     per-batch columns + HTML dictionary blob
-//!          derived section   cluster params · labels · minhash signatures
-//!                            · per-batch enrichment metrics (optional)
-//!          shard directory   n_rows u64 · shard_rows u64 · n_shards u32
-//!                            · per shard: rows u32 · byte_len u64
-//!                              · checksum u64
-//!          time_max          dataset-wide max instance end (optional)
-//! shards   n_shards × instance section, each a self-contained slice of
-//!          the InstanceColumns arrays, verbatim, independently
-//!          checksummed via the directory
+//! header   magic "CROWDSNP" · version u32 · flags u32 (0) · fingerprint u64
+//! sections n_shards × instance section: a self-contained slice of the
+//!          InstanceColumns arrays, verbatim
+//! meta     entity tables · batch columns + HTML dictionary
+//!          · derived section (optional): cluster params · labels
+//!            · minhash signatures · per-batch enrichment metrics
+//!          · shard directory: n_rows u64 · shard_rows u64 · n_shards u32
+//!            · per shard: rows u32 · byte_len u64 · checksum u64
+//!          · time_max (optional): dataset-wide max instance end
+//! trailer  meta_offset u64 · meta_len u64 · meta_checksum u64
+//!          · end magic "CROWDEND"
 //! ```
 //!
-//! The header's `payload_len`/`checksum` cover only the meta payload; each
-//! shard's instance section carries its own checksum in the directory.
-//! Shard boundaries are [`crowd_core::ShardPlan`] boundaries — multiples
-//! of the scan chunk — so a scan streamed shard-by-shard off the file
-//! ([`sharded::ShardedSnapshotReader::fused`]) merges partial aggregates
-//! in exactly the monolithic chunk order: the on-disk shard count is
-//! bit-invisible, it only bounds how much of the table must be resident
-//! at once. A warm start that only needs some shards reads (and pays
-//! checksum verification for) only those sections.
-//!
-//! All integers are little-endian; floats are stored as raw bit patterns,
-//! so every `f32`/`f64` round-trips bit-exactly. Batch HTML is dictionary
-//! encoded: each *distinct* page is stored once in a length-prefixed blob
-//! table and batches reference it by index, which both shrinks the file
-//! and rebuilds the [`crowd_core::dataset::HtmlArena`] sharing on load
-//! (all batches referencing one dictionary slot share one `Arc<str>`).
+//! With the meta last, [`SnapshotWriter`] writes every byte in one
+//! forward pass, sections as they are produced. Shard boundaries are
+//! [`crowd_core::ShardPlan`] boundaries — multiples of the scan chunk — so
+//! a scan streamed shard by shard off the file merges partial aggregates
+//! in exactly the monolithic chunk order: the shard count is
+//! bit-invisible. A warm start that only needs some shards reads (and
+//! pays checksum verification for) only those sections. All integers are
+//! little-endian; floats are stored as raw bit patterns, so every
+//! `f32`/`f64` round-trips bit-exactly. Each *distinct* batch HTML page is
+//! stored once and batches reference it by index, which rebuilds the
+//! [`crowd_core::dataset::HtmlArena`] sharing on load (all batches
+//! referencing one page share one `Arc<str>`).
 //!
 //! ## Integrity and fallback
 //!
-//! The cache must never be able to make a result wrong. [`decode`]
-//! verifies, in order: magic, format version, config fingerprint, payload
-//! length, payload checksum, and section-level shape (lengths, enum tags,
-//! label bits, dangling ids via [`Dataset::validate`]). Any failure is
-//! reported as a typed [`SnapshotError`]; the warm-start entry points in
-//! [`warm`] treat *every* error identically — silently fall back to a
-//! fresh simulation and overwrite the snapshot with a valid one.
+//! The cache must never be able to make a result wrong, and every byte of
+//! a file is covered by a check. [`ShardedSnapshotReader`] (and
+//! [`decode`], over bytes in memory) verifies, in order: the header
+//! (magic, version, flags, fingerprint); the trailer (end magic, and meta
+//! offset and length against the file length); the meta checksum; the
+//! meta's shape (lengths, enum tags, label bits, references); the shard
+//! directory against the section region; each shard section's checksum
+//! and shape when that shard is read; and [`Dataset::validate`] when the
+//! whole table is materialized. Any failure is a typed [`SnapshotError`],
+//! which the warm-start entry points in [`warm`] all treat as a cache
+//! miss: rebuild, and overwrite the file with a valid one.
 //!
 //! The fingerprint ([`fingerprint`]) hashes every [`SimConfig`] knob plus
 //! the format version, and nothing else: thread count, host, and wall
-//! clock cannot influence it, matching the pipeline's determinism
-//! contract (equal configs ⇒ bit-identical datasets at any parallelism).
+//! clock cannot influence it (equal configs ⇒ bit-identical datasets at
+//! any parallelism).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crowd_analytics::BatchMetrics;
 use crowd_cluster::{ClusterParams, Signature};
@@ -81,8 +78,9 @@ pub use writer::SnapshotWriter;
 
 /// Bumped on any change to the serialized layout; files written by other
 /// versions are rejected (and silently regenerated) rather than
-/// misinterpreted. Version 2 introduced the sharded instance sections.
-pub const FORMAT_VERSION: u32 = 2;
+/// misinterpreted. Version 2 introduced the sharded instance sections;
+/// version 3 moved the meta behind the sections.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"CROWDSNP";
@@ -227,49 +225,29 @@ pub fn encode(snapshot: &Snapshot, fingerprint: u64) -> Vec<u8> {
 /// boundary scan-chunk-aligned so shard count stays bit-invisible to
 /// streamed scans.
 pub fn encode_sharded(snapshot: &Snapshot, fingerprint: u64, shards: usize) -> Vec<u8> {
-    let cols = &snapshot.dataset.instances;
-    let plan = ShardPlan::new(cols.len(), shards);
-    let mut sections: Vec<Vec<u8>> = Vec::with_capacity(plan.n_shards());
-    let mut infos = Vec::with_capacity(plan.n_shards());
-    for range in plan.ranges() {
-        let bytes = codec::encode_instances(cols, range.start, range.end);
-        infos.push(ShardSectionInfo {
-            rows: (range.end - range.start) as u32,
-            byte_len: bytes.len() as u64,
-            checksum: format::checksum(&bytes),
+    let rows = &snapshot.dataset.instances;
+    let shard_rows = ShardPlan::new(rows.len(), shards).shard_rows();
+    let encoded =
+        SnapshotWriter::new(Vec::new(), fingerprint, shard_rows).and_then(|mut writer| {
+            writer.write_table(rows)?;
+            writer.finish(&snapshot.dataset, snapshot.derived.as_ref())
         });
-        sections.push(bytes);
-    }
-    let directory = ShardDirectory::from_parts(cols.len() as u64, plan.shard_rows() as u64, infos)
-        .expect("encoder builds a consistent directory");
-    let meta = codec::encode_meta(
-        &snapshot.dataset,
-        snapshot.derived.as_ref(),
-        &directory,
-        snapshot.dataset.time_max(),
-    );
-    let total: usize = sections.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(format::HEADER_LEN + meta.len() + total);
-    out.extend_from_slice(&format::header(fingerprint, &meta));
-    out.extend_from_slice(&meta);
-    for s in &sections {
-        out.extend_from_slice(s);
-    }
-    out
+    let Ok(bytes) = encoded;
+    bytes
 }
 
 /// Deserializes a snapshot held in memory, with the checks
-/// [`ShardedSnapshotReader`] runs on a file, in the same order: magic,
-/// version, fingerprint, meta payload length and checksum, meta shape,
-/// shard directory against the input length, then every shard section's
-/// checksum and shape, and finally [`Dataset::validate`].
+/// [`ShardedSnapshotReader`] runs on a file, in the same order (see the
+/// crate docs). Every section is borrowed from `bytes` in place, so
+/// nothing but the decoded columns is copied.
 ///
 /// For shard-granular or bounded-memory access to a snapshot *file*, use
 /// [`ShardedSnapshotReader`] instead — this entry point requires the whole
 /// file in memory and materializes every shard.
 pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<Snapshot, SnapshotError> {
-    let source = std::io::Cursor::new(bytes);
-    let (entities, derived, sections) = sharded::ShardSections::open(source, expected_fingerprint)?;
+    let source = sharded::Source::Bytes(bytes);
+    let (entities, derived, sections) =
+        sharded::ShardSections::open(source, bytes.len() as u64, expected_fingerprint)?;
     sections.into_snapshot(entities, derived)
 }
 
@@ -310,15 +288,37 @@ mod tests {
 
         assert!(matches!(decode(&good, fp ^ 1), Err(SnapshotError::FingerprintMismatch { .. })));
 
+        // The meta sits between the last shard section and the trailer,
+        // whose first field records where the meta starts.
+        let trailer = &good[good.len() - format::TRAILER_LEN..];
+        let meta_at = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
+
         let mut bad = good.clone();
-        *bad.last_mut().unwrap() ^= 0x10; // last shard section byte
+        bad[meta_at - 1] ^= 0x10; // last shard section byte
         assert!(matches!(decode(&bad, fp), Err(SnapshotError::ShardCorrupt { shard: 0 })));
 
         let mut bad = good.clone();
-        bad[41] ^= 0x10; // meta payload byte
+        bad[meta_at + 1] ^= 0x10; // meta payload byte
         assert!(matches!(decode(&bad, fp), Err(SnapshotError::ChecksumMismatch)));
 
         assert!(matches!(decode(&good[..good.len() - 3], fp), Err(SnapshotError::Truncated)));
         assert!(matches!(decode(&good[..20], fp), Err(SnapshotError::Truncated)));
+    }
+
+    /// Pins the layout: the length and checksum of the bytes encoded for
+    /// a fixed snapshot with a derived section. Any change to what the
+    /// encoder writes, or where, changes them.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let cfg = SimConfig::tiny(5);
+        let dataset = crowd_sim::simulate(&cfg);
+        let derived = warm::compute_derived(&dataset, ClusterParams::default());
+        let snap = Snapshot { dataset, derived: Some(derived) };
+        for (shards, len, sum) in
+            [(1, 3_497_663, 0x0EA9_7BE0_BEDB_69ED), (3, 3_497_687, 0x0927_E590_D99A_136D)]
+        {
+            let bytes = encode_sharded(&snap, fingerprint(&cfg), shards);
+            assert_eq!((bytes.len(), format::checksum(&bytes)), (len, sum), "shards={shards}");
+        }
     }
 }

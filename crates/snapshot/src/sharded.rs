@@ -1,20 +1,21 @@
-//! Streaming, shard-granular access to snapshot files.
+//! Streaming, shard-granular access to snapshots.
 //!
-//! A version-2 snapshot stores the instance table as independently
-//! checksummed per-shard sections after the meta payload (see the layout
-//! diagram in the crate docs). [`ShardedSnapshotReader`] opens a file,
-//! verifies the header and meta payload once, and then reads shard
-//! sections on demand with plain aligned `seek` + `read_exact` calls
-//! straight into the section buffer — no intermediate whole-file read, so
-//! peak memory for a scan is the entity tables plus **one** shard.
-//! [`crate::decode`] runs the same checks, in the same order, over bytes
-//! already in memory.
+//! A snapshot stores the instance table as independently checksummed
+//! per-shard sections between the header and the meta payload (see the
+//! layout diagram in the crate docs). [`ShardedSnapshotReader`] opens a
+//! file, checks the header, the trailer and the meta payload once, and
+//! then reads shard sections on demand with plain aligned `seek` +
+//! `read_exact` calls into the one section buffer it keeps, so peak memory
+//! for a scan is the entity tables plus **one** shard. [`crate::decode`]
+//! runs the same checks through the same section source over bytes in
+//! memory, where every section is borrowed in place instead.
 //!
 //! Corruption is shard-granular: a damaged section surfaces as
 //! [`SnapshotError::ShardCorrupt`] naming the shard, while every other
 //! shard remains readable — callers can re-derive just the damaged slice
 //! instead of discarding the whole cache entry.
 
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -25,7 +26,7 @@ use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::query::ScanPass;
 use crowd_core::time::Timestamp;
 
-use crate::format::{checksum, read_header, HEADER_LEN};
+use crate::format::{checksum, read_header, read_trailer, HEADER_LEN, TRAILER_LEN};
 use crate::{codec, Derived, Snapshot, SnapshotError};
 
 /// Location and integrity record of one shard's instance section.
@@ -53,32 +54,28 @@ pub struct ShardDirectory {
 }
 
 impl ShardDirectory {
-    /// Validates and assembles a directory; `None` when the shape is
-    /// inconsistent (misaligned shard size, wrong section count, row
-    /// totals that do not add up).
-    pub(crate) fn from_parts(
-        n_rows: u64,
-        shard_rows: u64,
-        sections: Vec<ShardSectionInfo>,
-    ) -> Option<ShardDirectory> {
-        if shard_rows == 0 || !shard_rows.is_multiple_of(ScanPass::CHUNK as u64) {
-            return None;
+    /// An empty directory for `shard_rows` rows per shard; `None` unless
+    /// `shard_rows` is a non-zero [`ScanPass::CHUNK`] multiple
+    /// (misaligned shard boundaries would change float-merge order for
+    /// every streamed scan of the file).
+    pub(crate) fn new(shard_rows: u64) -> Option<ShardDirectory> {
+        (shard_rows > 0 && shard_rows.is_multiple_of(ScanPass::CHUNK as u64))
+            .then(|| ShardDirectory { n_rows: 0, shard_rows, sections: Vec::new() })
+    }
+
+    /// Appends the next shard's record. Returns `false`, and leaves the
+    /// directory as it was, unless every shard so far is full and this
+    /// one holds 1 to `shard_rows` rows: the one shape both the writer
+    /// and the meta decoder accept.
+    #[must_use]
+    pub(crate) fn push(&mut self, section: ShardSectionInfo) -> bool {
+        let fits = self.n_rows.is_multiple_of(self.shard_rows)
+            && (1..=self.shard_rows).contains(&u64::from(section.rows));
+        if fits {
+            self.n_rows += u64::from(section.rows);
+            self.sections.push(section);
         }
-        let n_shards = n_rows.div_ceil(shard_rows);
-        if sections.len() as u64 != n_shards {
-            return None;
-        }
-        for (k, s) in sections.iter().enumerate() {
-            let expect = if (k as u64) + 1 == n_shards {
-                n_rows - shard_rows * (n_shards - 1)
-            } else {
-                shard_rows
-            };
-            if u64::from(s.rows) != expect {
-                return None;
-            }
-        }
-        Some(ShardDirectory { n_rows, shard_rows, sections })
+        fits
     }
 
     /// Total instance rows across all shards.
@@ -106,9 +103,9 @@ impl ShardDirectory {
         self.shard_rows * shard as u64
     }
 
-    /// Byte offset of `shard`'s section relative to the first section.
+    /// Byte offset of `shard`'s section: sections follow the header.
     fn section_offset(&self, shard: usize) -> u64 {
-        self.sections[..shard].iter().map(|s| s.byte_len).sum()
+        HEADER_LEN as u64 + self.sections[..shard].iter().map(|s| s.byte_len).sum::<u64>()
     }
 
     /// Total bytes of all shard sections (saturating: the lengths are
@@ -118,71 +115,87 @@ impl ShardDirectory {
     }
 }
 
-/// Maps `read_exact`'s EOF onto the snapshot truncation class; everything
-/// else stays an IO error.
-fn read_exact_or_truncated(source: &mut impl Read, buf: &mut [u8]) -> Result<(), SnapshotError> {
-    source.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated
-        } else {
-            SnapshotError::Io(e)
+/// Where an opened snapshot's bytes come from: a file, read through one
+/// reusable buffer, or bytes in memory, which every read borrows.
+pub(crate) enum Source<'a> {
+    File { file: File, buf: Vec<u8> },
+    Bytes(&'a [u8]),
+}
+
+impl Source<'_> {
+    /// The `len` bytes at `offset`; [`SnapshotError::Truncated`] when the
+    /// source ends first.
+    fn read_at(&mut self, offset: u64, len: u64) -> Result<&[u8], SnapshotError> {
+        match self {
+            Source::Bytes(bytes) => usize::try_from(offset)
+                .ok()
+                .zip(usize::try_from(len).ok())
+                .and_then(|(at, n)| bytes.get(at..at.checked_add(n)?))
+                .ok_or(SnapshotError::Truncated),
+            Source::File { file, buf } => {
+                // Reads into spare capacity, so no byte is zeroed first.
+                buf.clear();
+                buf.reserve_exact(usize::try_from(len).map_err(|_| SnapshotError::Truncated)?);
+                file.seek(SeekFrom::Start(offset))?;
+                if Read::take(&mut *file, len).read_to_end(buf)? as u64 != len {
+                    return Err(SnapshotError::Truncated);
+                }
+                Ok(buf)
+            }
         }
-    })
+    }
+
+    /// Replaces the file buffer with an empty one of `capacity` bytes, so
+    /// that no read of at most `capacity` bytes allocates.
+    fn reset_buffer(&mut self, capacity: u64) {
+        if let Source::File { buf, .. } = self {
+            *buf = Vec::with_capacity(usize::try_from(capacity).unwrap_or(0));
+        }
+    }
 }
 
 /// The instance sections of an opened snapshot: the verified shard
-/// directory and the file (or bytes in memory) they live in. Every read
-/// reuses one section buffer, sized on first use for the largest section.
-pub(crate) struct ShardSections<R = File> {
-    source: R,
-    sections_start: u64,
+/// directory and the source they are read from.
+pub(crate) struct ShardSections<'a> {
+    source: Source<'a>,
     directory: ShardDirectory,
     time_max: Option<Timestamp>,
-    buf: Vec<u8>,
 }
 
-impl<R: Read + Seek> ShardSections<R> {
-    /// The one verification sequence every snapshot read starts with, in
-    /// order: header (magic, version, fingerprint), meta length against
-    /// the source's, meta checksum, meta decode, and the shard directory
-    /// against the source's length. Returns the entity tables, the
-    /// derived artifacts and the still unread shard sections, whose
-    /// checksums verify per shard as they are read.
+impl<'a> ShardSections<'a> {
+    /// The one verification sequence every snapshot read starts with, over
+    /// a `len`-byte source, in order: header (magic, version, flags,
+    /// fingerprint), trailer (end magic, meta offset and length against
+    /// `len`), meta checksum, meta decode, and the shard directory against
+    /// the section region between header and meta. Returns the entity
+    /// tables, the derived artifacts and the still unread shard sections,
+    /// whose checksums verify per shard as they are read.
     pub(crate) fn open(
-        mut source: R,
+        mut source: Source<'a>,
+        len: u64,
         expected_fingerprint: u64,
-    ) -> Result<(Dataset, Option<Derived>, ShardSections<R>), SnapshotError> {
-        let len = source.seek(SeekFrom::End(0))?;
-        source.rewind()?;
-        // A source shorter than the header fails at the first field it cuts.
-        let mut header = [0u8; HEADER_LEN];
-        let header = &mut header[..len.min(HEADER_LEN as u64) as usize];
-        read_exact_or_truncated(&mut source, header)?;
-        let (payload_len, stored_sum) = read_header(header, expected_fingerprint)?;
-        // Bound the meta allocation by the actual length before trusting
-        // the header's length field.
-        if payload_len > len.saturating_sub(HEADER_LEN as u64) {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut meta = vec![0u8; payload_len as usize];
-        read_exact_or_truncated(&mut source, &mut meta)?;
-        if checksum(&meta) != stored_sum {
+    ) -> Result<(Dataset, Option<Derived>, ShardSections<'a>), SnapshotError> {
+        // A source shorter than the header fails at the first field it cuts,
+        // and one too short to end in a trailer as `Truncated`.
+        read_header(source.read_at(0, len.min(HEADER_LEN as u64))?, expected_fingerprint)?;
+        let trailer = source.read_at(len.saturating_sub(TRAILER_LEN as u64), TRAILER_LEN as u64)?;
+        let (meta_offset, meta_len, stored_sum) = read_trailer(trailer, len)?;
+        let meta = source.read_at(meta_offset, meta_len)?;
+        if checksum(meta) != stored_sum {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let decoded = codec::decode_meta(&meta)?;
-        let sections_start = HEADER_LEN as u64 + payload_len;
-        match sections_start.saturating_add(decoded.directory.sections_len()).cmp(&len) {
-            std::cmp::Ordering::Greater => return Err(SnapshotError::Truncated),
-            std::cmp::Ordering::Less => return Err(SnapshotError::Corrupt("trailing bytes")),
-            std::cmp::Ordering::Equal => {}
+        let decoded = codec::decode_meta(meta)?;
+        let sections_end = (HEADER_LEN as u64).saturating_add(decoded.directory.sections_len());
+        match sections_end.cmp(&meta_offset) {
+            Ordering::Greater => return Err(SnapshotError::Truncated),
+            Ordering::Less => return Err(SnapshotError::Corrupt("section region")),
+            Ordering::Equal => {}
         }
-        let sections = ShardSections {
-            source,
-            sections_start,
-            directory: decoded.directory,
-            time_max: decoded.time_max,
-            buf: Vec::new(),
-        };
+        // Sized once for the largest section, so no shard regrows it.
+        let largest = decoded.directory.sections().iter().map(|s| s.byte_len).max();
+        source.reset_buffer(largest.unwrap_or(0));
+        let sections =
+            ShardSections { source, directory: decoded.directory, time_max: decoded.time_max };
         Ok((decoded.entities, decoded.derived, sections))
     }
 
@@ -199,20 +212,11 @@ impl<R: Read + Seek> ShardSections<R> {
         let Some(&sec) = self.directory.sections().get(shard) else {
             return Err(SnapshotError::Corrupt("shard index out of range"));
         };
-        if self.buf.capacity() == 0 {
-            // Sized once for the largest section, so no later shard
-            // regrows it. `open` bounded every length by the source's.
-            let largest = self.directory.sections().iter().map(|s| s.byte_len).max();
-            self.buf.reserve_exact(largest.unwrap_or(0) as usize);
-        }
-        self.buf.resize(sec.byte_len as usize, 0);
-        self.source
-            .seek(SeekFrom::Start(self.sections_start + self.directory.section_offset(shard)))?;
-        read_exact_or_truncated(&mut self.source, &mut self.buf)?;
-        if checksum(&self.buf) != sec.checksum {
+        let bytes = self.source.read_at(self.directory.section_offset(shard), sec.byte_len)?;
+        if checksum(bytes) != sec.checksum {
             return Err(SnapshotError::ShardCorrupt { shard });
         }
-        codec::decode_instances_into(&self.buf, sec.rows as usize, n_batches, n_workers, out)
+        codec::decode_instances_into(bytes, sec.rows as usize, n_batches, n_workers, out)
     }
 
     /// Reads every shard onto `dataset`, the entity tables this snapshot's
@@ -250,7 +254,7 @@ impl<R: Read + Seek> ShardSections<R> {
             let read = self.read_into(k, n_batches, n_workers, &mut cols);
             if k + 1 == n_shards {
                 // The folds still to run need only the decoded columns.
-                self.buf = Vec::new();
+                self.source.reset_buffer(0);
             }
             read.map(|()| (base, cols))
         });
@@ -267,7 +271,7 @@ impl<R: Read + Seek> ShardSections<R> {
 pub struct ShardedSnapshotReader {
     entities: Dataset,
     derived: Option<Derived>,
-    sections: ShardSections,
+    sections: ShardSections<'static>,
 }
 
 impl std::fmt::Debug for ShardedSnapshotReader {
@@ -281,15 +285,17 @@ impl std::fmt::Debug for ShardedSnapshotReader {
 }
 
 impl ShardedSnapshotReader {
-    /// Opens `path`, verifying magic, version, fingerprint, and the meta
-    /// payload checksum; shard sections are *not* read (their checksums
-    /// verify lazily, per shard).
+    /// Opens `path`, verifying the header (magic, version, flags,
+    /// fingerprint), the trailer and the meta payload checksum; shard
+    /// sections are *not* read (their checksums verify lazily, per shard).
     pub fn open(
         path: impl AsRef<Path>,
         expected_fingerprint: u64,
     ) -> Result<ShardedSnapshotReader, SnapshotError> {
-        let (entities, derived, sections) =
-            ShardSections::open(File::open(path)?, expected_fingerprint)?;
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let source = Source::File { file, buf: Vec::new() };
+        let (entities, derived, sections) = ShardSections::open(source, len, expected_fingerprint)?;
         Ok(ShardedSnapshotReader { entities, derived, sections })
     }
 
@@ -359,7 +365,7 @@ impl ShardedSnapshotReader {
     /// [`into_meta`](Self::into_meta), keeping the open, verified shard
     /// sections: the warm start streams its fused scan from them without
     /// opening and decoding the file a second time.
-    pub(crate) fn into_parts(self) -> (Dataset, Option<Derived>, ShardSections) {
+    pub(crate) fn into_parts(self) -> (Dataset, Option<Derived>, ShardSections<'static>) {
         (self.entities, self.derived, self.sections)
     }
 
@@ -436,11 +442,11 @@ mod tests {
     #[test]
     fn damaged_shard_fails_alone_and_names_itself() {
         let (_, mut bytes) = multi_shard_snapshot();
-        // Locate shard 1's section through a pristine reader.
+        // Locate shard 1's section through a pristine reader: the sections
+        // follow the header back to back.
         let path = write_tmp("pristine", &bytes);
         let reader = ShardedSnapshotReader::open(&path, FP).expect("opens");
-        let payload_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let shard1_at = 40 + payload_len + reader.directory().sections()[0].byte_len;
+        let shard1_at = HEADER_LEN as u64 + reader.directory().sections()[0].byte_len;
         drop(reader);
         let _ = std::fs::remove_file(&path);
 
@@ -474,13 +480,11 @@ mod tests {
         assert!(matches!(ShardedSnapshotReader::open(&path, FP), Err(SnapshotError::Truncated)));
         let _ = std::fs::remove_file(&path);
 
+        // Appended bytes leave a file that no longer ends in its trailer.
         let mut long = bytes.clone();
         long.extend_from_slice(b"junk");
         let path = write_tmp("junk", &long);
-        assert!(matches!(
-            ShardedSnapshotReader::open(&path, FP),
-            Err(SnapshotError::Corrupt("trailing bytes"))
-        ));
+        assert!(matches!(ShardedSnapshotReader::open(&path, FP), Err(SnapshotError::Truncated)));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -66,23 +66,24 @@ pub fn study_with_params(
     let Some(store) = store else {
         return Study::with_cluster_params(simulate(cfg), params);
     };
-    let hit =
-        store.open_reader(cfg).ok().filter(|r| r.derived().is_some_and(|d| d.params == params));
-    let Some(reader) = hit else {
-        // Miss, integrity failure or other parameters: rebuild, rewrite.
-        return build_streamed(cfg, params, store);
-    };
-    // Full hit: entities + persisted enrichment only. The rows stay on
-    // disk; the fused scan streams them back on first use.
-    let n_rows = reader.directory().n_rows() as usize;
-    let (entities, derived, sections) = reader.into_parts();
-    let d = derived.expect("params just matched on this derived section");
-    Study::from_enrichment_streamed(
-        entities,
-        d.metrics,
-        n_rows,
-        fused_source(cfg, params, store, Some(sections)),
-    )
+    if let Ok(reader) = store.open_reader(cfg) {
+        let n_rows = reader.directory().n_rows() as usize;
+        match reader.into_parts() {
+            // Full hit: entities + persisted enrichment only. The rows stay
+            // on disk; the fused scan streams them back on first use.
+            (entities, Some(d), sections) if d.params == params => {
+                return Study::from_enrichment_streamed(
+                    entities,
+                    d.metrics,
+                    n_rows,
+                    fused_source(cfg, params, store, Some(sections)),
+                );
+            }
+            _ => {}
+        }
+    }
+    // Miss, integrity failure or other parameters: rebuild, rewrite.
+    build_streamed(cfg, params, store)
 }
 
 /// Streaming cold build ([`publish_streamed`]) into a columns-optional
@@ -186,7 +187,7 @@ fn fused_source(
     cfg: &SimConfig,
     params: ClusterParams,
     store: &SnapshotStore,
-    sections: Option<ShardSections>,
+    sections: Option<ShardSections<'static>>,
 ) -> impl Fn(&Study) -> Fused + Send + Sync + 'static {
     let (cfg, store) = (cfg.clone(), store.clone());
     let sections = Mutex::new(sections);
@@ -195,7 +196,7 @@ fn fused_source(
         // call; any later call re-opens the file.
         let held = sections.lock().unwrap_or_else(PoisonError::into_inner).take();
         let metrics: Vec<BatchMetrics> = study.enriched_batches().cloned().collect();
-        let scan = |held: Option<ShardSections>| {
+        let scan = |held: Option<ShardSections<'static>>| {
             held.map_or_else(|| store.open_reader(&cfg).map(|r| r.into_parts().2), Ok)
                 .and_then(|mut sections| sections.fused(study.dataset(), &metrics))
         };
@@ -237,6 +238,14 @@ mod tests {
             std::env::temp_dir().join(format!("crowd-snapshot-warm-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         SnapshotStore::new(dir)
+    }
+
+    /// Where the last shard section of `cfg`'s snapshot ends: the
+    /// sections follow the header back to back.
+    fn last_section_end(store: &SnapshotStore, cfg: &SimConfig) -> usize {
+        let reader = store.open_reader(cfg).expect("pristine snapshot opens");
+        let sections = reader.directory().sections();
+        crate::format::HEADER_LEN + sections.iter().map(|s| s.byte_len as usize).sum::<usize>()
     }
 
     /// Cold build and warm hit agree bitwise with a never-cached run on
@@ -338,7 +347,7 @@ mod tests {
         // Flipped byte inside a shard section: meta verifies, the damaged
         // shard is refused by its own checksum when the fused scan streams.
         let mut bent = pristine.clone();
-        let at = bent.len() - 20;
+        let at = last_section_end(&store, &cfg) - 20;
         bent[at] ^= 0x40;
         std::fs::write(&path, &bent).unwrap();
         let warm = study_from_config(&cfg, Some(&store));
@@ -359,7 +368,7 @@ mod tests {
         let _ = study_from_config(&cfg, Some(&store));
         let path = store.path_for(&cfg);
         let mut bent = std::fs::read(&path).unwrap();
-        let at = bent.len() - 20;
+        let at = last_section_end(&store, &cfg) - 20;
         bent[at] ^= 0x40;
         std::fs::write(&path, &bent).unwrap();
         let warm = study_from_config(&cfg, Some(&store));

@@ -1,72 +1,145 @@
-//! Incremental snapshot writing: shard sections land on disk as they are
-//! flushed, so the snapshot is produced *during* simulation instead of
-//! after it.
+//! The one snapshot encoder: every byte of a snapshot is written once, in
+//! one forward pass, while the data is produced.
 //!
-//! [`SnapshotWriter`] is the persistence end of the streaming build
-//! pipeline (DESIGN.md §16), and the only writer of snapshot files. It
-//! implements [`ShardSink`]: each completed shard is encoded,
-//! checksummed, and appended to a *sections* temp file immediately, and
-//! only its 20-byte directory entry stays in memory.
-//! [`finish`](SnapshotWriter::finish) then assembles the final file —
-//! header, meta payload (entities, derived artifacts, shard directory,
-//! `time_max`) and the streamed sections — in a second temp and publishes
-//! it with a single rename. Peak writer memory is one encoded section,
-//! regardless of table size.
+//! [`SnapshotWriter`] writes the header when created; as a [`ShardSink`]
+//! it encodes, checksums and appends each shard the moment it is flushed
+//! (or [`write_table`](SnapshotWriter::write_table) cuts a table already
+//! in memory into sections, borrowing the rows); and
+//! [`finish`](SnapshotWriter::finish) appends the meta payload — entities,
+//! derived artifacts, the shard directory built from the actual sections,
+//! `time_max` — and the trailer that locates it. Only each section's
+//! 20-byte directory entry stays in memory, so peak writer memory is one
+//! encoded section. The bytes go to a [`SnapshotSink`]: a snapshot file
+//! ([`PendingFile`], the default), a `Vec<u8>` ([`crate::encode`]), or a
+//! borrowed [`Write`] (a serve checkpoint, behind its own header).
 //!
 //! ## Crash safety
 //!
-//! The same discipline as `crowd-ingest` exports: nothing ever appears
-//! under the final `snap-<fp>.bin` name except via `rename` of a fully
-//! written temp. A writer killed at *any* point — between shard
-//! flushes, between the sections and the meta/directory assembly, or
-//! mid-rename — leaves only `snap-…tmp.<pid>` temps behind, which the
-//! store's [`sweep_stale`](crate::SnapshotStore::sweep_stale) removes on
-//! the next run; the loader never sees a torn file under the final name.
-//! Torn bytes that reach the loader anyway (truncated by the filesystem,
-//! copied mid-write) are refused with the usual typed errors
-//! ([`SnapshotError::Truncated`], checksum and shard-section failures).
+//! Nothing ever appears under the final `snap-<fp>.bin` name except via
+//! `rename` of a fully written temp: a file writer streams into one
+//! `snap-….tmp.<pid>` temp, so one killed at *any* point leaves only that
+//! temp behind, which the store's
+//! [`sweep_stale`](crate::SnapshotStore::sweep_stale) removes on the next
+//! run. Torn bytes that reach the loader anyway (truncated by the
+//! filesystem, copied mid-write) are refused with the usual typed errors.
 
+use std::convert::Infallible;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::ops::Range;
+use std::path::PathBuf;
 
 use crowd_core::dataset::{Dataset, InstanceColumns};
-use crowd_core::query::ScanPass;
 use crowd_core::shard::ShardSink;
 use crowd_core::time::Timestamp;
 use crowd_ingest::{retry_transient, Backoff, SystemClock};
 
+use crate::format::HEADER_LEN;
 use crate::sharded::{ShardDirectory, ShardSectionInfo};
 use crate::{codec, format, Derived, SnapshotError};
 
-/// Streams per-shard instance sections to disk as they complete, then
-/// writes the meta payload + shard directory last and publishes the file
-/// atomically. See the module docs for the full protocol.
-pub struct SnapshotWriter {
-    final_path: PathBuf,
-    sections_path: PathBuf,
-    sections: BufWriter<File>,
-    infos: Vec<ShardSectionInfo>,
-    fingerprint: u64,
-    shard_rows: usize,
-    n_rows: usize,
-    time_max: Option<Timestamp>,
-}
-
-impl std::fmt::Debug for SnapshotWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotWriter")
-            .field("final_path", &self.final_path)
-            .field("shard_rows", &self.shard_rows)
-            .field("n_rows", &self.n_rows)
-            .field("n_shards", &self.infos.len())
-            .finish_non_exhaustive()
+/// Where a [`SnapshotWriter`] streams its bytes.
+pub trait SnapshotSink {
+    /// What a failed write reports.
+    type Error;
+    /// What [`SnapshotWriter::finish`] returns.
+    type Output;
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]) -> Result<(), Self::Error>;
+    /// Completes the sink after its last byte.
+    fn complete(self) -> Result<Self::Output, Self::Error>;
+    /// Gives up on an unfinished write (by default, does nothing).
+    fn abort(self)
+    where
+        Self: Sized,
+    {
     }
 }
 
+/// Bytes in memory: [`crate::encode`]'s sink. Never fails.
+impl SnapshotSink for Vec<u8> {
+    type Error = Infallible;
+    type Output = Vec<u8>;
+
+    fn put(&mut self, bytes: &[u8]) -> Result<(), Infallible> {
+        self.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn complete(self) -> Result<Vec<u8>, Infallible> {
+        Ok(self)
+    }
+}
+
+/// Any borrowed writer, which the caller owns, flushes and closes.
+impl<W: Write + ?Sized> SnapshotSink for &mut W {
+    type Error = std::io::Error;
+    type Output = ();
+
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.write_all(bytes)
+    }
+
+    fn complete(self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A snapshot file being written: a `….tmp.<pid>` sibling of the final
+/// path, renamed over it on completion.
+#[derive(Debug)]
+pub struct PendingFile {
+    final_path: PathBuf,
+    tmp_path: PathBuf,
+    file: BufWriter<File>,
+}
+
+impl SnapshotSink for PendingFile {
+    type Error = SnapshotError;
+    type Output = PathBuf;
+
+    fn put(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        Ok(self.file.write_all(bytes)?)
+    }
+
+    /// Flushes the buffered tail and renames the temp over the final path,
+    /// returning that path. Transient IO errors (`Interrupted`,
+    /// `WouldBlock`) retry the flush — which writes only what is still
+    /// buffered — and the rename under the default [`Backoff`]; anything
+    /// else removes the temp and is surfaced.
+    fn complete(mut self) -> Result<PathBuf, SnapshotError> {
+        let (result, _retries) = retry_transient(&Backoff::default(), &SystemClock, || {
+            self.file.flush()?;
+            std::fs::rename(&self.tmp_path, &self.final_path)
+        });
+        match result {
+            Ok(()) => Ok(self.final_path),
+            Err(e) => {
+                let _ = std::fs::remove_file(&self.tmp_path);
+                Err(SnapshotError::Io(e))
+            }
+        }
+    }
+
+    /// Removes the temp; an older snapshot under the final path stays.
+    fn abort(self) {
+        let _ = std::fs::remove_file(&self.tmp_path);
+    }
+}
+
+/// Streams a snapshot into its [`SnapshotSink`]; see the module docs.
+#[derive(Debug)]
+pub struct SnapshotWriter<S: SnapshotSink = PendingFile> {
+    sink: S,
+    /// Bytes written so far: where the next section, or the meta, starts.
+    pos: u64,
+    directory: ShardDirectory,
+    time_max: Option<Timestamp>,
+}
+
 impl SnapshotWriter {
-    /// A writer that will publish to `final_path` once finished. Sections
-    /// stream into a `…sections.tmp.<pid>` sibling created now.
+    /// A writer that will publish to `final_path` once finished, streaming
+    /// into a temp sibling created now.
     ///
     /// `shard_rows` fixes the layout up front (every flushed shard but the
     /// last must hold exactly this many rows); take it from a
@@ -75,7 +148,8 @@ impl SnapshotWriter {
     /// estimate that is off by a shard is still encoded exactly.
     ///
     /// # Panics
-    /// When `shard_rows` is zero or not a [`ScanPass::CHUNK`] multiple
+    /// When `shard_rows` is zero or not a
+    /// [`ScanPass::CHUNK`](crowd_core::query::ScanPass::CHUNK) multiple
     /// (misaligned shard boundaries would change float-merge order for
     /// every future streamed scan of the file).
     pub fn create(
@@ -83,133 +157,121 @@ impl SnapshotWriter {
         fingerprint: u64,
         shard_rows: usize,
     ) -> Result<SnapshotWriter, SnapshotError> {
-        assert!(
-            shard_rows > 0 && shard_rows.is_multiple_of(ScanPass::CHUNK),
-            "shard_rows must be a non-zero CHUNK multiple to keep merge order fixed"
-        );
         let final_path = final_path.into();
-        let sections_path = sibling_temp(&final_path, "sections");
-        let sections = BufWriter::new(File::create(&sections_path)?);
-        Ok(SnapshotWriter {
-            final_path,
-            sections_path,
-            sections,
-            infos: Vec::new(),
-            fingerprint,
-            shard_rows,
-            n_rows: 0,
-            time_max: None,
-        })
+        // Keeps the `snap-` prefix and ends in `.tmp.<pid>`, which
+        // `SnapshotStore::sweep_stale` removes for every pid but its own.
+        let tmp_path = final_path.with_extension(format!("tmp.{}", std::process::id()));
+        let file = BufWriter::new(File::create(&tmp_path)?);
+        SnapshotWriter::new(PendingFile { final_path, tmp_path, file }, fingerprint, shard_rows)
+    }
+}
+
+impl<S: SnapshotSink> SnapshotWriter<S> {
+    /// A writer streaming into `sink`; writes the header now. `shard_rows`
+    /// is as for [`create`](SnapshotWriter::create), with the same panic.
+    pub fn new(mut sink: S, fingerprint: u64, shard_rows: usize) -> Result<Self, S::Error> {
+        let Some(directory) = ShardDirectory::new(shard_rows as u64) else {
+            panic!("shard_rows must be a non-zero CHUNK multiple to keep merge order fixed");
+        };
+        sink.put(&format::header(fingerprint))?;
+        Ok(SnapshotWriter { sink, pos: HEADER_LEN as u64, directory, time_max: None })
     }
 
     /// Rows flushed so far (= the base the next shard must start at).
     pub fn rows(&self) -> usize {
-        self.n_rows
+        self.directory.n_rows() as usize
     }
 
     /// The layout's rows-per-shard (fixed at creation, CHUNK-aligned).
     /// Producers size their flush buffer from this so shard boundaries on
     /// disk match the layout the writer promised.
     pub fn shard_rows(&self) -> usize {
-        self.shard_rows
+        self.directory.shard_rows() as usize
     }
 
-    /// Shard sections written so far.
-    pub fn n_shards(&self) -> usize {
-        self.infos.len()
-    }
-
-    /// Writes the meta payload (entities, optional derived artifacts, the
-    /// shard directory built from the actual flush records, and the
-    /// running `time_max` joined with the entity tables') plus the
-    /// streamed sections into a temp, publishes it under the final name
-    /// with one rename, and removes the sections temp. Returns the final
-    /// path.
+    /// Writes every row of `table` as the next shard sections, cut at
+    /// `shard_rows`, encoding straight from the borrowed columns.
     ///
-    /// Transient IO errors (`Interrupted`, `WouldBlock`) while assembling
-    /// and renaming retry the whole step under the default [`Backoff`];
-    /// anything else is surfaced after cleaning up both temps.
+    /// # Panics
+    /// When a short shard was already written (only the last may be).
+    pub fn write_table(&mut self, table: &InstanceColumns) -> Result<(), S::Error> {
+        let shard_rows = self.shard_rows();
+        for lo in (0..table.len()).step_by(shard_rows) {
+            self.section(table, lo..table.len().min(lo + shard_rows))?;
+        }
+        Ok(())
+    }
+
+    /// Encodes, checksums and appends rows `rows` of `cols` as one shard
+    /// section. An empty range writes nothing.
+    fn section(&mut self, cols: &InstanceColumns, rows: Range<usize>) -> Result<(), S::Error> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let bytes = codec::encode_instances(cols, rows.start, rows.end);
+        let info = ShardSectionInfo {
+            rows: rows.len() as u32,
+            byte_len: bytes.len() as u64,
+            checksum: format::checksum(&bytes),
+        };
+        self.sink.put(&bytes)?;
+        let pushed = self.directory.push(info);
+        assert!(pushed, "a short shard can only be the last, and none may exceed shard_rows");
+        self.pos += info.byte_len;
+        let end_max = cols.end_col()[rows].iter().copied().max();
+        self.time_max = self.time_max.max(end_max);
+        Ok(())
+    }
+
+    /// Writes the meta payload (the entity tables of `entities`, `derived`,
+    /// the shard directory, and the rows' `time_max` joined with
+    /// `entities`') and the trailer, then completes the sink: a file
+    /// publishes and returns its final path, a `Vec` returns the bytes. On
+    /// an error the sink is abandoned (a file's temp removed).
     pub fn finish(
         mut self,
         entities: &Dataset,
         derived: Option<&Derived>,
-    ) -> Result<PathBuf, SnapshotError> {
-        self.sections.flush()?;
-        drop(self.sections); // close before re-opening to copy
-
-        let directory =
-            ShardDirectory::from_parts(self.n_rows as u64, self.shard_rows as u64, self.infos)
-                .expect("flush keeps every shard full except the last");
-        let time_max = [self.time_max, entities.time_max()].into_iter().flatten().max();
-        let meta = codec::encode_meta(entities, derived, &directory, time_max);
-        let header = format::header(self.fingerprint, &meta);
-
-        let tmp = sibling_temp(&self.final_path, "assemble");
-        let (result, _retries) = retry_transient(&Backoff::default(), &SystemClock, || {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            out.write_all(&header)?;
-            out.write_all(&meta)?;
-            std::io::copy(&mut File::open(&self.sections_path)?, &mut out)?;
-            out.flush()?;
-            drop(out);
-            std::fs::rename(&tmp, &self.final_path)
-        });
-        let _ = std::fs::remove_file(&self.sections_path);
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
+    ) -> Result<S::Output, S::Error> {
+        let time_max = self.time_max.max(entities.time_max());
+        let meta = codec::encode_meta(entities, derived, &self.directory, time_max);
+        let trailer = format::trailer(self.pos, &meta);
+        if let Err(e) = self.sink.put(&meta).and_then(|()| self.sink.put(&trailer)) {
+            self.sink.abort();
+            return Err(e);
         }
-        result.map(|()| self.final_path).map_err(SnapshotError::Io)
+        self.sink.complete()
     }
 
-    /// Abandons the write, removing the sections temp. The final path is
-    /// untouched (an older valid snapshot there stays valid).
+    /// Abandons the write: a file writer removes its temp, and an older
+    /// snapshot under the final path stays valid.
     pub fn abort(self) {
-        drop(self.sections);
-        let _ = std::fs::remove_file(&self.sections_path);
+        self.sink.abort();
     }
 }
 
-impl ShardSink for SnapshotWriter {
-    type Error = SnapshotError;
+impl<S: SnapshotSink> ShardSink for SnapshotWriter<S> {
+    type Error = S::Error;
 
-    /// Encodes, checksums, and appends one completed shard.
+    /// Encodes, checksums, and appends one completed shard. An empty shard
+    /// writes nothing.
     ///
     /// # Panics
-    /// When `base` is not exactly [`rows`](Self::rows) (shards must arrive
-    /// contiguously in ascending order), when the previous shard was short
-    /// (only the final shard may be), or when the shard exceeds the
-    /// layout's `shard_rows`.
-    fn flush(&mut self, base: usize, shard: &InstanceColumns) -> Result<(), SnapshotError> {
-        assert_eq!(base, self.n_rows, "shards must arrive contiguously in ascending order");
-        assert_eq!(base % self.shard_rows, 0, "a short shard can only be the last one flushed");
-        assert!(shard.len() <= self.shard_rows, "shard exceeds the planned shard_rows");
-        let bytes = codec::encode_instances(shard, 0, shard.len());
-        self.infos.push(ShardSectionInfo {
-            rows: shard.len() as u32,
-            byte_len: bytes.len() as u64,
-            checksum: format::checksum(&bytes),
-        });
-        self.sections.write_all(&bytes)?;
-        self.n_rows += shard.len();
-        self.time_max =
-            [self.time_max, shard.end_col().iter().copied().max()].into_iter().flatten().max();
-        Ok(())
+    /// When `base` is not exactly [`rows`](SnapshotWriter::rows) (shards
+    /// must arrive contiguously in ascending order), when the previous
+    /// shard was short (only the final shard may be), or when the shard
+    /// exceeds the layout's `shard_rows`.
+    fn flush(&mut self, base: usize, shard: &InstanceColumns) -> Result<(), S::Error> {
+        assert_eq!(base, self.rows(), "shards must arrive contiguously in ascending order");
+        self.section(shard, 0..shard.len())
     }
-}
-
-/// A temp sibling of `final_path` that [`SnapshotStore::sweep_stale`]
-/// recognizes: keeps the `snap-` prefix, contains `.tmp.`, and ends with
-/// this process's pid so the store never sweeps its own live temps.
-///
-/// [`SnapshotStore::sweep_stale`]: crate::SnapshotStore::sweep_stale
-fn sibling_temp(final_path: &Path, tag: &str) -> PathBuf {
-    final_path.with_extension(format!("{tag}.tmp.{}", std::process::id()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{encode_sharded, fingerprint, Snapshot, SnapshotStore};
+    use crowd_core::query::ScanPass;
     use crowd_core::ShardPlan;
     use crowd_sim::SimConfig;
 

@@ -8,6 +8,7 @@ use std::path::PathBuf;
 
 use crowd_analytics::Study;
 use crowd_sim::{simulate, SimConfig};
+use crowd_snapshot::format::{HEADER_LEN, TRAILER_LEN};
 use crowd_snapshot::{warm, SnapshotError, SnapshotStore, FORMAT_VERSION};
 
 fn temp_store(tag: &str) -> SnapshotStore {
@@ -15,6 +16,13 @@ fn temp_store(tag: &str) -> SnapshotStore {
         std::env::temp_dir().join(format!("crowd-snap-corrupt-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     SnapshotStore::new(dir)
+}
+
+/// Where the meta payload starts: the first field of the trailer, which
+/// fills the last `TRAILER_LEN` bytes. The shard sections end there.
+fn meta_offset(b: &[u8]) -> usize {
+    let trailer = &b[b.len() - TRAILER_LEN..];
+    u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize
 }
 
 /// Labels of the sampled batches — the artifact most sensitive to the
@@ -85,8 +93,15 @@ fn bumped_format_version_falls_back() {
 
 #[test]
 fn flipped_checksum_byte_falls_back() {
-    // Byte 32 is the first byte of the stored payload checksum.
-    assert_recovers("checksum", |b| b[32] ^= 0x01, "checksum");
+    // The trailer's third field is the stored meta checksum.
+    assert_recovers(
+        "checksum",
+        |b| {
+            let at = b.len() - TRAILER_LEN + 16;
+            b[at] ^= 0x01;
+        },
+        "checksum",
+    );
 }
 
 #[test]
@@ -98,17 +113,33 @@ fn fingerprint_mismatch_falls_back() {
 
 #[test]
 fn flipped_payload_byte_falls_back() {
-    // Damage at the end of the file lands in the last instance-shard
-    // section, which carries its own checksum in the shard directory —
-    // so the failure is shard-granular, not a whole-file checksum error.
-    assert_recovers("payload", |b| *b.last_mut().unwrap() ^= 0x40, "shard");
+    // Damage to the last byte before the meta lands in the last
+    // instance-shard section, which carries its own checksum in the shard
+    // directory — so the failure is shard-granular, not a whole-file
+    // checksum error.
+    assert_recovers(
+        "payload",
+        |b| {
+            let at = meta_offset(b) - 1;
+            b[at] ^= 0x40;
+        },
+        "shard",
+    );
 }
 
 #[test]
 fn flipped_meta_byte_falls_back() {
-    // Damage just past the header lands in the meta payload (entities,
-    // derived results, shard directory), which the header checksum covers.
-    assert_recovers("meta", |b| b[41] ^= 0x10, "checksum");
+    // Damage just past the meta's start lands in the meta payload
+    // (entities, derived results, shard directory), which the trailer
+    // checksum covers.
+    assert_recovers(
+        "meta",
+        |b| {
+            let at = meta_offset(b) + 1;
+            b[at] ^= 0x10;
+        },
+        "checksum",
+    );
 }
 
 /// A damaged shard section must fail alone: its neighbors stay readable
@@ -127,9 +158,8 @@ fn damaged_shard_fails_independently_and_warm_recovers() {
     let mut bytes = std::fs::read(&path).expect("snapshot was written");
 
     // Locate the middle shard's section: sections start right after the
-    // 40-byte header plus the meta payload (length at header bytes 24..32).
-    let payload_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let sections_start = 40 + payload_len;
+    // header.
+    let sections_start = HEADER_LEN;
     let reader = store.open_reader(&cfg).expect("snapshot opens clean");
     let dir = reader.directory();
     assert_eq!(dir.n_shards(), 3, "dataset must split into 3 shards here");
