@@ -63,13 +63,11 @@ pub fn predict(
     scheme: Scheme,
     seed: u64,
 ) -> Option<PredictionResult> {
-    let clusters: Vec<&ClusterInfo> =
-        eligible_clusters(study, None).filter(|c| metric.of_cluster(c).is_some()).collect();
+    let (clusters, values): (Vec<&ClusterInfo>, Vec<f64>) =
+        eligible_clusters(study, None).filter_map(|c| Some((c, metric.of_cluster(c)?))).unzip();
     if clusters.len() < N_FOLDS * 4 {
         return None;
     }
-    let values: Vec<f64> =
-        clusters.iter().map(|c| metric.of_cluster(c).expect("filtered")).collect();
     let buckets = match scheme {
         Scheme::ByRange => Bucketization::by_range(&values, N_BUCKETS)?,
         Scheme::ByPercentiles => Bucketization::by_percentiles(&values, N_BUCKETS)?,

@@ -51,9 +51,8 @@ pub fn redundancy(study: &Study) -> Option<RedundancyStats> {
             by_cluster.entry(cluster).or_default().push(f64::from(count));
         }
     }
-    let cluster_ids: Vec<u32> = by_cluster.keys().copied().collect();
-    let per_cluster_median =
-        cluster_ids.iter().map(|c| median(&by_cluster[c]).expect("non-empty cluster")).collect();
+    let (cluster_ids, per_cluster_median) =
+        by_cluster.iter().filter_map(|(&c, counts)| Some((c, median(counts)?))).unzip();
 
     Some(RedundancyStats {
         per_item: Summary::of(&counts)?,

@@ -10,7 +10,9 @@
 //! cached [`Fused`] result (held in a `OnceLock` on [`Study`]). The same
 //! accumulator folds the streamed snapshot scan ([`compute_streamed`])
 //! and the live view ([`crate::view::FusedView`]), so all three paths
-//! produce bit-identical aggregates over the same rows.
+//! produce bit-identical aggregates over the same rows. It folds whole
+//! chunks only ([`Accumulator::accept_chunk`], the trait's one fold):
+//! each chunk is one columnar unit from zero, merged in chunk order.
 //!
 //! ## Determinism
 //!
@@ -169,9 +171,6 @@ impl ScanConfig {
 #[derive(Clone)]
 pub(crate) struct FusedAcc {
     cfg: Arc<ScanConfig>,
-    /// Rows taken one at a time through `accept`; folded as one unit at
-    /// the next merge or finish.
-    pending: Option<Box<Pending>>,
     /// Per-worker state of the rows this copy folded itself.
     runs: Runs,
     /// Merged per-worker state, indexed by raw worker id.
@@ -193,14 +192,6 @@ pub(crate) struct FusedAcc {
     buckets: Vec<(Vec<f64>, Vec<f64>)>,
     /// `((batch, item), judgments)`, ascending.
     per_item: Vec<((u32, u32), u32)>,
-}
-
-/// Rows staged by the row-at-a-time path, with their entity lookups.
-#[derive(Clone, Default)]
-struct Pending {
-    rows: InstanceColumns,
-    created: Vec<Timestamp>,
-    source: Vec<u32>,
 }
 
 /// One fold unit: column slices plus the batch creation time and worker
@@ -522,7 +513,6 @@ impl FusedAcc {
     fn blank(cfg: Arc<ScanConfig>) -> FusedAcc {
         FusedAcc {
             cfg,
-            pending: None,
             runs: Runs::default(),
             table: Vec::new(),
             sources: Vec::new(),
@@ -598,17 +588,6 @@ impl FusedAcc {
         acc
     }
 
-    /// Folds rows staged by `accept` as one unit.
-    fn seal(&mut self) {
-        if let Some(p) = self.pending.take() {
-            let part = FusedAcc::fold(
-                &self.cfg,
-                Rows::of(&p.rows, 0..p.rows.len(), &p.created, &p.source),
-            );
-            self.merge(part);
-        }
-    }
-
     /// Moves this copy's own runs into the dense table.
     fn settle_runs(&mut self) {
         let runs = std::mem::take(&mut self.runs);
@@ -623,7 +602,6 @@ impl FusedAcc {
     /// skipping batches without a positive median. The weekly vectors are
     /// padded to the configured span.
     pub(crate) fn finish_with(mut self, batch_median: &[Option<f64>]) -> Fused {
-        self.seal();
         self.settle_runs();
         for &((batch, source), (secs, rows)) in &self.rel_time {
             if let Some(med) = batch_median[batch as usize].filter(|&m| m > 0.0) {
@@ -688,13 +666,6 @@ impl Accumulator for FusedAcc {
         FusedAcc::blank(Arc::clone(&self.cfg))
     }
 
-    fn accept(&mut self, ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        let p = self.pending.get_or_insert_with(Default::default);
-        p.created.push(ds.batch(row.batch).created_at);
-        p.source.push(ds.worker(row.worker).source.raw());
-        p.rows.push(row.to_owned());
-    }
-
     /// Columnar fold of one chunk: gathers each row's batch creation time
     /// and worker source, then folds every state family in its own
     /// ascending-row loop (the families write disjoint state).
@@ -713,9 +684,7 @@ impl Accumulator for FusedAcc {
         self.merge(part);
     }
 
-    fn merge(&mut self, mut other: Self) {
-        other.seal();
-        self.seal();
+    fn merge(&mut self, other: Self) {
         if self.weekday == [0; 7] {
             // No rows yet: take the partial as the total. Adding it to
             // zeros would give the same bits (0.0 + x == x for every
@@ -818,45 +787,6 @@ mod tests {
         assert_eq!(intervals, ds.instances.len());
     }
 
-    /// `FusedAcc` without its columnar override: the trait's default
-    /// `accept_chunk` feeds `accept` one row at a time.
-    struct RowPath(FusedAcc);
-
-    impl Accumulator for RowPath {
-        type Output = Fused;
-
-        fn init(&self) -> Self {
-            RowPath(self.0.init())
-        }
-
-        fn accept(&mut self, ds: &Dataset, id: InstanceId, row: InstanceRef<'_>) {
-            self.0.accept(ds, id, row);
-        }
-
-        fn merge(&mut self, other: Self) {
-            self.0.merge(other.0);
-        }
-
-        fn finish(self, ds: &Dataset) -> Fused {
-            self.0.finish(ds)
-        }
-    }
-
-    fn assert_bit_identical(a: &Fused, b: &Fused) {
-        assert_eq!(a, b);
-        for (x, y) in a.workers.values().zip(b.workers.values()) {
-            assert_eq!(x.trust_sum.to_bits(), y.trust_sum.to_bits());
-            assert_eq!(x.work_secs.to_bits(), y.work_secs.to_bits());
-            for (cx, cy) in x.weeks.values().zip(y.weeks.values()) {
-                assert_eq!(cx.hours.to_bits(), cy.hours.to_bits());
-            }
-        }
-        for (x, y) in a.sources.values().zip(b.sources.values()) {
-            assert_eq!(x.trust_sum.to_bits(), y.trust_sum.to_bits());
-            assert_eq!(x.rel_time_sum.to_bits(), y.rel_time_sum.to_bits());
-        }
-    }
-
     /// The engine's chunk schedule, run sequentially without touching
     /// the process-wide scan counter other tests here assert on.
     fn chunked_scan<A: Accumulator>(ds: &Dataset, proto: &A) -> A::Output {
@@ -871,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn row_path_and_columnar_chunks_are_bit_identical() {
+    fn rel_time_sum_bits_survive_reversed_rows() {
         let s = crate::testutil::tiny_study();
         let ds = s.dataset();
         assert!(ds.instances.len() > 3 * ScanPass::CHUNK, "several chunks");
@@ -882,12 +812,9 @@ mod tests {
             reversed.instances.push(ds.instances.row(i).to_owned());
         }
         let [forward, backward] = [ds, &reversed].map(|ds| {
-            let proto = FusedAcc::proto(ds, s.enriched_batches(), None);
-            let rows = chunked_scan(ds, &RowPath(proto.init()));
-            let columnar = chunked_scan(ds, &proto);
-            assert!(columnar.sources.values().any(|s| s.rel_time_n > 0), "rel_time exercised");
-            assert_bit_identical(&rows, &columnar);
-            columnar
+            let fused = chunked_scan(ds, &FusedAcc::proto(ds, s.enriched_batches(), None));
+            assert!(fused.sources.values().any(|s| s.rel_time_n > 0), "rel_time exercised");
+            fused
         });
         // Exact whole-second group sums, each divided once: relative time
         // depends on which rows were folded, not on their order or chunks.

@@ -36,11 +36,10 @@ fn trend(
 ) -> ComplexityTrend {
     let clusters: Vec<(&ClusterInfo, Complexity)> =
         study.labeled_clusters().filter_map(|c| class(c).map(|cx| (c, cx))).collect();
-    if clusters.is_empty() {
+    let weeks = clusters.iter().map(|(c, _)| c.first_week.0);
+    let (Some(w0), Some(w1)) = (weeks.clone().min(), weeks.max()) else {
         return ComplexityTrend { category, ..Default::default() };
-    }
-    let w0 = clusters.iter().map(|(c, _)| c.first_week.0).min().unwrap();
-    let w1 = clusters.iter().map(|(c, _)| c.first_week.0).max().unwrap();
+    };
     let n = (w1 - w0 + 1) as usize;
     let mut simple_new = vec![0u64; n];
     let mut complex_new = vec![0u64; n];

@@ -1,14 +1,28 @@
 //! The enriched study context (paper §2.4): clustering, design-parameter
 //! extraction, and effectiveness metrics over a raw dataset.
+//!
+//! Each §4.1 batch metric (disagreement score, median task time, median
+//! pickup time) has one definition: a private function over one batch's
+//! rows, in any order. Two drivers call it. [`enrich_batches`] takes each
+//! sampled batch's rows from the resident table through the index and
+//! fans the batches out across threads; [`StreamingEnricher`] sees the
+//! rows shard by shard during a streamed cold build and holds only the
+//! rows of the batch a shard may leave open. Both finish in the same
+//! assembly (design features, cluster ids), so their [`BatchMetrics`]
+//! agree bit for bit.
+//!
+//! A [`Study`] reads its fused scan from one [`FusedSource`], always set:
+//! [`crate::fused::compute`] over the resident rows, or the shard stream
+//! that [`Study::from_enrichment_streamed`] injects.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crowd_cluster::{ClusterParams, Clusterer, Clustering};
-use crowd_core::answer::{item_disagreement, item_disagreement_ref};
+use crowd_core::answer::item_disagreement;
 use crowd_core::prelude::*;
 use crowd_html::{extract_features, ExtractedFeatures};
-use crowd_stats::descriptive::{median, median_inplace};
+use crowd_stats::descriptive::median_inplace;
 use rayon::prelude::*;
 
 use crate::fused::Fused;
@@ -72,8 +86,11 @@ pub struct ClusterInfo {
     pub first_week: WeekIndex,
 }
 
-/// The provider a columns-optional [`Study`] defers its fused scan to
-/// (see [`Study::from_enrichment_streamed`]).
+/// What produces a [`Study`]'s fused scan on first use: [`compute`] over
+/// the resident rows, or a stream of the rows from elsewhere (see
+/// [`Study::from_enrichment_streamed`]).
+///
+/// [`compute`]: crate::fused::compute
 pub type FusedSource = Box<dyn Fn(&Study) -> Fused + Send + Sync>;
 
 /// The enriched dataset all analyses run on.
@@ -96,8 +113,8 @@ pub struct Study {
     /// Instance rows the study covers — `ds.instances.len()` when the
     /// columns are resident, the streamed row count otherwise.
     n_rows: usize,
-    /// Columns-optional fused provider; `None` means scan `ds.instances`.
-    fused_source: Option<FusedSource>,
+    /// Produces `fused` on first use.
+    fused_source: FusedSource,
     /// Raw instance-table aggregates from the one fused scan, computed on
     /// first use (most analytics functions only shape this cache). The
     /// instance rows are immutable once the study owns them, so the memo
@@ -124,7 +141,8 @@ impl Study {
         };
         let index = ds.index();
         let metrics = enrich_batches(&ds, &index, &clustering);
-        Study::assemble(ds, index, metrics)
+        let n_rows = ds.instances.len();
+        Study::assemble(ds, index, metrics, n_rows, Box::new(crate::fused::compute))
     }
 
     /// Columns-optional constructor, built from already computed per-batch
@@ -151,15 +169,18 @@ impl Study {
             "columns-optional studies are built from entity-only datasets"
         );
         let index = entities.index();
-        let mut study = Study::assemble(entities, index, metrics);
-        study.n_rows = n_rows;
-        study.fused_source = Some(Box::new(fused_source));
-        study
+        Study::assemble(entities, index, metrics, n_rows, Box::new(fused_source))
     }
 
     /// Shared tail of every constructor: scatter metrics into the
     /// batch-indexed table and aggregate clusters.
-    fn assemble(ds: Dataset, index: DatasetIndex, metrics: Vec<BatchMetrics>) -> Study {
+    fn assemble(
+        ds: Dataset,
+        index: DatasetIndex,
+        metrics: Vec<BatchMetrics>,
+        n_rows: usize,
+        fused_source: FusedSource,
+    ) -> Study {
         // Labels are dense, so the cluster count is one past the largest.
         let n_clusters = metrics.iter().map(|m| m.cluster).max().map_or(0, |m| m as usize + 1);
         let mut batch_metrics: Vec<Option<BatchMetrics>> = vec![None; ds.batches.len()];
@@ -168,14 +189,13 @@ impl Study {
             batch_metrics[slot] = Some(metrics);
         }
         let clusters = aggregate_clusters(&ds, &batch_metrics, n_clusters);
-        let n_rows = ds.instances.len();
         Study {
             ds,
             index,
             batch_metrics,
             clusters,
             n_rows,
-            fused_source: None,
+            fused_source,
             fused: OnceLock::new(),
             ingest: None,
         }
@@ -201,10 +221,7 @@ impl Study {
     /// [`crate::view::FusedView`], which applies deltas instead of
     /// memoizing one scan.
     pub fn fused(&self) -> &Fused {
-        self.fused.get_or_init(|| match &self.fused_source {
-            Some(source) => source(self),
-            None => crate::fused::compute(self),
-        })
+        self.fused.get_or_init(|| (self.fused_source)(self))
     }
 
     /// The underlying dataset. In columns-optional mode the instance table
@@ -272,7 +289,8 @@ pub fn sampled_docs(ds: &Dataset) -> (Vec<BatchId>, Vec<&str>) {
 }
 
 /// §2.4 + §4.1: per-batch features and metrics for every sampled batch,
-/// in dataset order. Enrichment is independent per batch: fan it out
+/// in dataset order. Each batch's rows come from the index's counting
+/// sort of row ids by batch. Batches are independent, so they fan out
 /// across threads and collect in sampled order — the result is
 /// position-determined, hence thread-count-invariant.
 ///
@@ -284,6 +302,24 @@ pub fn enrich_batches(
     index: &DatasetIndex,
     clustering: &Clustering,
 ) -> Vec<BatchMetrics> {
+    assemble_metrics(ds, clustering, |batch| {
+        let rows = index.instances_of_batch(batch).map(|id| ds.instance(id));
+        BatchCore::of(ds.batch(batch).created_at, rows)
+    })
+}
+
+/// [`BatchMetrics`] for every sampled batch of `ds`, in dataset order:
+/// `core` supplies each batch's row-derived fields, the batch HTML its
+/// design features and `clustering` its cluster id. The batches map in
+/// parallel, collected in sampled order.
+///
+/// # Panics
+/// If `clustering` does not cover exactly the sampled batches.
+fn assemble_metrics(
+    ds: &Dataset,
+    clustering: &Clustering,
+    core: impl Fn(BatchId) -> BatchCore + Sync,
+) -> Vec<BatchMetrics> {
     let (sampled, _docs) = sampled_docs(ds);
     assert_eq!(
         clustering.labels().len(),
@@ -293,130 +329,32 @@ pub fn enrich_batches(
     let indexed: Vec<(usize, BatchId)> = sampled.iter().copied().enumerate().collect();
     indexed
         .par_iter()
-        .map(|&(pos, batch)| compute_batch_metrics(ds, index, batch, clustering.cluster_of(pos)))
+        .map(|&(pos, batch)| {
+            let core = core(batch);
+            let features = ds
+                .batch(batch)
+                .html
+                .as_deref()
+                .and_then(|h| extract_features(h).ok())
+                .unwrap_or_default();
+            BatchMetrics {
+                batch,
+                cluster: clustering.cluster_of(pos),
+                n_instances: core.n_instances,
+                n_items: core.n_items,
+                disagreement: core.disagreement,
+                task_time: core.task_time,
+                pickup_time: core.pickup_time,
+                features,
+            }
+        })
         .collect()
 }
 
-thread_local! {
-    /// Per-thread `(pickups, times, item_scores)` scratch for
-    /// [`compute_batch_metrics`]: the float piles are cleared (capacity
-    /// kept) between batches, so the parallel enrichment fan-out only
-    /// allocates while a thread's high-water batch size still grows.
-    /// `by_item` cannot join them — it borrows `&Answer` from the dataset,
-    /// and a thread-local must be `'static`.
-    static METRIC_SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-}
-
-fn compute_batch_metrics(
-    ds: &Dataset,
-    index: &DatasetIndex,
-    batch: BatchId,
-    cluster: u32,
-) -> BatchMetrics {
-    METRIC_SCRATCH.with(|scratch| {
-        let (pickups, times, item_scores) = &mut *scratch.borrow_mut();
-        pickups.clear();
-        times.clear();
-        item_scores.clear();
-
-        let created = ds.batch(batch).created_at;
-        // BTreeMap, not HashMap: the disagreement average below sums floats in
-        // map-iteration order, and f64 addition rounding depends on that order.
-        // A randomized hash order would make the last ulp of the score vary
-        // from run to run (and thread pool to thread pool); item-id order fixes
-        // the sum bit-for-bit.
-        let mut by_item: BTreeMap<u32, Vec<&Answer>> = BTreeMap::new();
-        let mut n_instances = 0u32;
-        for inst_id in index.instances_of_batch(batch) {
-            let inst = ds.instance(inst_id);
-            n_instances += 1;
-            pickups.push((inst.start - created).as_secs() as f64);
-            times.push(inst.work_time().as_secs() as f64);
-            by_item.entry(inst.item.raw()).or_default().push(inst.answer);
-        }
-        let n_items = by_item.len() as u32;
-
-        // §4.1: average item-level pairwise disagreement.
-        for answers in by_item.values() {
-            if let Some(score) = item_disagreement_ref(answers) {
-                item_scores.push(score);
-            }
-        }
-        let disagreement = if item_scores.is_empty() {
-            None
-        } else {
-            Some(item_scores.iter().sum::<f64>() / item_scores.len() as f64)
-        };
-
-        let features = ds
-            .batch(batch)
-            .html
-            .as_deref()
-            .and_then(|h| extract_features(h).ok())
-            .unwrap_or_default();
-
-        BatchMetrics {
-            batch,
-            cluster,
-            n_instances,
-            n_items,
-            disagreement,
-            task_time: median(times),
-            pickup_time: median(pickups),
-            features,
-        }
-    })
-}
-
-/// Streaming replacement for the per-batch half of [`enrich_batches`]: a
-/// [`ShardSink`] that folds each flushed shard into per-batch metric
-/// piles during a cold build, so enrichment never needs the full instance
-/// table resident. Feature extraction (batch-scale, HTML-driven) happens
-/// in [`finish`](StreamingEnricher::finish), off the resident entity
-/// tables.
-///
-/// Relies on the simulator's delivery contract: rows arrive grouped by
-/// batch, batches in ascending id order — exactly the order
-/// `DatasetIndex::instances_of_batch` replays them in, so every pile (and
-/// every float fold over it) matches `compute_batch_metrics`
-/// bit-for-bit. At most one batch's pile is open at a time; finished
-/// batches reduce to a handful of scalars immediately.
-pub struct StreamingEnricher {
-    /// Batch creation times, copied from the entity tables (batch-scale).
-    created: Vec<Timestamp>,
-    /// Sampled flag per batch — only sampled batches get piles.
-    sampled: Vec<bool>,
-    /// The open pile (sampled batches only).
-    current: Option<BatchPile>,
-    /// Last batch id seen, for the grouped-ascending assertion.
-    last_batch: Option<usize>,
-    /// Reduced per-batch stats, indexed by batch id.
-    cores: Vec<Option<BatchCore>>,
-    rows: usize,
-    /// Recycled pile buffers: closing a pile returns its float piles and
-    /// per-item answer vectors here (cleared, capacity kept), so the
-    /// one-open-pile-at-a-time loop stops allocating once the high-water
-    /// batch shape has been seen.
-    spare_pickups: Vec<f64>,
-    spare_times: Vec<f64>,
-    spare_scores: Vec<f64>,
-    spare_answer_vecs: Vec<Vec<Answer>>,
-}
-
-/// The in-flight accumulation for one sampled batch.
-struct BatchPile {
-    batch: usize,
-    created: Timestamp,
-    n_instances: u32,
-    pickups: Vec<f64>,
-    times: Vec<f64>,
-    by_item: BTreeMap<u32, Vec<Answer>>,
-}
-
-/// One sampled batch's reduced metrics (everything of [`BatchMetrics`]
-/// that needs instance rows).
-#[derive(Clone, Copy)]
+/// The fields of one batch's [`BatchMetrics`] that come from its instance
+/// rows (§4.1); a batch without rows has the default (zero counts, no
+/// metrics).
+#[derive(Clone, Copy, Default)]
 struct BatchCore {
     n_instances: u32,
     n_items: u32,
@@ -425,20 +363,77 @@ struct BatchCore {
     pickup_time: Option<f64>,
 }
 
+impl BatchCore {
+    /// The §4.1 metrics of one batch created at `created`, from its rows
+    /// in any order — the one definition both enrichment drivers call.
+    fn of<'a>(created: Timestamp, rows: impl Iterator<Item = InstanceRef<'a>>) -> BatchCore {
+        let (mut pickups, mut times, mut answers) = (Vec::new(), Vec::new(), Vec::new());
+        for row in rows {
+            pickups.push((row.start - created).as_secs() as f64);
+            times.push(row.work_time().as_secs() as f64);
+            answers.push((row.item.raw(), row.answer));
+        }
+        // Disagreement: the mean item score, added in ascending item id.
+        // f64 addition rounding depends on the order, so a fixed key order
+        // fixes the sum bit for bit, whatever order the rows came in.
+        answers.sort_unstable_by_key(|&(item, _)| item);
+        let (mut n_items, mut sum, mut scored) = (0, 0.0, 0u32);
+        let mut item: Vec<&Answer> = Vec::new();
+        for run in answers.chunk_by(|a, b| a.0 == b.0) {
+            n_items += 1;
+            item.clear();
+            item.extend(run.iter().map(|&(_, answer)| answer));
+            if let Some(score) = item_disagreement(&item) {
+                sum += score;
+                scored += 1;
+            }
+        }
+        BatchCore {
+            n_instances: times.len() as u32,
+            n_items,
+            disagreement: (scored > 0).then(|| sum / f64::from(scored)),
+            task_time: median_inplace(&mut times),
+            pickup_time: median_inplace(&mut pickups),
+        }
+    }
+}
+
+/// The streamed driver of [`enrich_batches`]: a [`ShardSink`] that
+/// computes each sampled batch's §4.1 metrics as its rows stream past
+/// during a cold build, so enrichment never needs the full instance table
+/// resident. Feature extraction (batch-scale, HTML-driven) happens in
+/// [`finish`](StreamingEnricher::finish), off the resident entity tables.
+///
+/// Relies on the simulator's delivery contract: rows arrive grouped by
+/// batch, batches in ascending id order. A batch that ends inside a shard
+/// is computed straight from the shard's rows. The batch a shard ends in
+/// may continue in the next shard, so its rows are copied aside and the
+/// batch is computed once a later batch begins (or at `finish`) — at most
+/// one batch's rows are ever held.
+pub struct StreamingEnricher {
+    /// Batch creation times, copied from the entity tables (batch-scale).
+    created: Vec<Timestamp>,
+    /// Sampled flag per batch — only sampled batches are computed.
+    sampled: Vec<bool>,
+    /// Rows of the sampled batch the last shard ended in.
+    open: InstanceColumns,
+    /// Last batch id seen, for the grouped-ascending assertion.
+    last_batch: Option<usize>,
+    /// Per-batch row-derived metrics, indexed by batch id.
+    cores: Vec<Option<BatchCore>>,
+    rows: usize,
+}
+
 impl StreamingEnricher {
     /// An enricher for the batches of `entities` (instance table ignored).
     pub fn new(entities: &Dataset) -> StreamingEnricher {
         StreamingEnricher {
             created: entities.batches.iter().map(|b| b.created_at).collect(),
             sampled: entities.batches.iter().map(|b| b.sampled).collect(),
-            current: None,
+            open: InstanceColumns::new(),
             last_batch: None,
             cores: vec![None; entities.batches.len()],
             rows: 0,
-            spare_pickups: Vec::new(),
-            spare_times: Vec::new(),
-            spare_scores: Vec::new(),
-            spare_answer_vecs: Vec::new(),
         }
     }
 
@@ -447,42 +442,15 @@ impl StreamingEnricher {
         self.rows
     }
 
-    fn close_pile(&mut self) {
-        let Some(mut pile) = self.current.take() else { return };
-        // Mirror of `compute_batch_metrics`, fold for fold: same median
-        // function, same item-id iteration order for the disagreement sum.
-        let mut item_scores = std::mem::take(&mut self.spare_scores);
-        item_scores.clear();
-        for answers in pile.by_item.values() {
-            if let Some(score) = item_disagreement(answers) {
-                item_scores.push(score);
-            }
-        }
-        let disagreement = if item_scores.is_empty() {
-            None
-        } else {
-            Some(item_scores.iter().sum::<f64>() / item_scores.len() as f64)
-        };
-        self.cores[pile.batch] = Some(BatchCore {
-            n_instances: pile.n_instances,
-            n_items: pile.by_item.len() as u32,
-            disagreement,
-            task_time: median(&pile.times),
-            pickup_time: median(&pile.pickups),
-        });
-        // Recycle the pile's buffers for the next sampled batch.
-        self.spare_scores = item_scores;
-        pile.pickups.clear();
-        self.spare_pickups = pile.pickups;
-        pile.times.clear();
-        self.spare_times = pile.times;
-        for (_, mut v) in std::mem::take(&mut pile.by_item) {
-            v.clear();
-            self.spare_answer_vecs.push(v);
-        }
+    /// Computes the open batch, if any, and empties it (capacity kept).
+    fn close_open(&mut self) {
+        let Some(batch) = self.open.batch_col().first() else { return };
+        let bi = batch.index();
+        self.cores[bi] = Some(BatchCore::of(self.created[bi], self.open.iter()));
+        self.open.truncate(0);
     }
 
-    /// Closes the last pile and assembles [`BatchMetrics`] for **every**
+    /// Closes the open batch and assembles [`BatchMetrics`] for **every**
     /// sampled batch of `entities` (zero-instance ones included), in
     /// dataset order with `clustering`'s positional labels — the exact
     /// output contract of [`enrich_batches`].
@@ -490,42 +458,10 @@ impl StreamingEnricher {
     /// # Panics
     /// If `clustering` does not cover exactly the sampled batches.
     pub fn finish(mut self, entities: &Dataset, clustering: &Clustering) -> Vec<BatchMetrics> {
-        self.close_pile();
-        let (sampled, _docs) = sampled_docs(entities);
-        assert_eq!(
-            clustering.labels().len(),
-            sampled.len(),
-            "clustering must cover exactly the sampled batches"
-        );
-        let indexed: Vec<(usize, BatchId)> = sampled.iter().copied().enumerate().collect();
-        indexed
-            .par_iter()
-            .map(|&(pos, batch)| {
-                let core = self.cores[batch.index()].unwrap_or(BatchCore {
-                    n_instances: 0,
-                    n_items: 0,
-                    disagreement: None,
-                    task_time: None,
-                    pickup_time: None,
-                });
-                let features = entities
-                    .batch(batch)
-                    .html
-                    .as_deref()
-                    .and_then(|h| extract_features(h).ok())
-                    .unwrap_or_default();
-                BatchMetrics {
-                    batch,
-                    cluster: clustering.cluster_of(pos),
-                    n_instances: core.n_instances,
-                    n_items: core.n_items,
-                    disagreement: core.disagreement,
-                    task_time: core.task_time,
-                    pickup_time: core.pickup_time,
-                    features,
-                }
-            })
-            .collect()
+        self.close_open();
+        assemble_metrics(entities, clustering, |batch| {
+            self.cores[batch.index()].unwrap_or_default()
+        })
     }
 }
 
@@ -538,37 +474,36 @@ impl ShardSink for StreamingEnricher {
         shard: &InstanceColumns,
     ) -> std::result::Result<(), Self::Error> {
         assert_eq!(base, self.rows, "shards must arrive contiguously in ascending order");
-        for row in shard.iter() {
-            let bi = row.batch.index();
+        let batches = shard.batch_col();
+        let mut lo = 0;
+        // One run of equal batch ids at a time.
+        while lo < batches.len() {
+            let batch = batches[lo];
+            let hi =
+                batches[lo..].iter().position(|&b| b != batch).map_or(batches.len(), |n| lo + n);
+            let bi = batch.index();
             if self.last_batch != Some(bi) {
                 if let Some(last) = self.last_batch {
                     assert!(bi > last, "rows must arrive grouped by batch, batches ascending");
                 }
-                self.close_pile();
+                self.close_open();
                 self.last_batch = Some(bi);
-                if self.sampled[bi] {
-                    self.current = Some(BatchPile {
-                        batch: bi,
-                        created: self.created[bi],
-                        n_instances: 0,
-                        pickups: std::mem::take(&mut self.spare_pickups),
-                        times: std::mem::take(&mut self.spare_times),
-                        by_item: BTreeMap::new(),
-                    });
+            }
+            if self.sampled[bi] {
+                let ends_shard = hi == batches.len();
+                if self.open.is_empty() && !ends_shard {
+                    let rows = (lo..hi).map(|i| shard.row(i));
+                    self.cores[bi] = Some(BatchCore::of(self.created[bi], rows));
+                } else {
+                    // The batch may go on in the next shard, or it goes on
+                    // from the last one.
+                    self.open.extend_from(shard, lo..hi);
+                    if !ends_shard {
+                        self.close_open();
+                    }
                 }
             }
-            // Disjoint field borrows: the pool feeds `or_insert_with`
-            // while the pile is mutably borrowed.
-            let spare_answer_vecs = &mut self.spare_answer_vecs;
-            if let Some(pile) = &mut self.current {
-                pile.n_instances += 1;
-                pile.pickups.push((row.start - pile.created).as_secs() as f64);
-                pile.times.push(row.work_time().as_secs() as f64);
-                pile.by_item
-                    .entry(row.item.raw())
-                    .or_insert_with(|| spare_answer_vecs.pop().unwrap_or_default())
-                    .push(row.answer.clone());
-            }
+            lo = hi;
         }
         self.rows += shard.len();
         Ok(())
@@ -586,11 +521,11 @@ fn aggregate_clusters(
     }
 
     // Per-cluster medians are independent; compute them across threads in
-    // cluster-id order (the nonempty list is ordered, and the parallel map
-    // preserves input order, so output is thread-count-invariant).
-    let nonempty: Vec<(usize, &Vec<&BatchMetrics>)> =
-        members.iter().enumerate().filter(|(_, ms)| !ms.is_empty()).collect();
-    nonempty
+    // cluster-id order (the parallel map preserves input order, so output
+    // is thread-count-invariant). A cluster without members has no
+    // majority task type and yields no info.
+    let by_id: Vec<(usize, &Vec<&BatchMetrics>)> = members.iter().enumerate().collect();
+    let infos: Vec<Option<ClusterInfo>> = by_id
         .par_iter()
         .map(|&(id, ms)| {
             // Majority task type supplies the cluster's manual labels
@@ -599,12 +534,9 @@ fn aggregate_clusters(
             for m in ms {
                 *type_votes.entry(ds.batch(m.batch).task_type).or_insert(0) += 1;
             }
-            let majority = type_votes
-                .iter()
-                .max_by_key(|&(_, &c)| c)
-                .map(|(&t, _)| t)
-                .expect("non-empty cluster");
+            let majority = type_votes.iter().max_by_key(|&(_, &c)| c).map(|(&t, _)| t)?;
             let tt = ds.task_type(majority);
+            let first_week = ms.iter().map(|m| ds.batch(m.batch).created_at.week()).min()?;
 
             // Selection, not a full sort: these scratch vectors are
             // rebuilt per cluster, so the O(n log n) sort inside `median`
@@ -618,7 +550,7 @@ fn aggregate_clusters(
                 median_inplace(&mut vals).unwrap_or(0.0)
             };
 
-            ClusterInfo {
+            Some(ClusterInfo {
                 id: id as u32,
                 batches: ms.iter().map(|m| m.batch).collect(),
                 n_instances: ms.iter().map(|m| u64::from(m.n_instances)).sum(),
@@ -634,19 +566,17 @@ fn aggregate_clusters(
                 disagreement: med(&|m| m.disagreement),
                 task_time: med(&|m| m.task_time),
                 pickup_time: med(&|m| m.pickup_time),
-                first_week: ms
-                    .iter()
-                    .map(|m| ds.batch(m.batch).created_at.week())
-                    .min()
-                    .expect("non-empty cluster"),
-            }
+                first_week,
+            })
         })
-        .collect()
+        .collect();
+    infos.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowd_stats::descriptive::median;
 
     fn study() -> &'static Study {
         crate::testutil::tiny_study()

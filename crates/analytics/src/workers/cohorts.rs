@@ -42,7 +42,7 @@ pub fn monthly_cohorts(study: &Study) -> Vec<Cohort> {
     // Group workers by join month (= their earliest active month).
     let mut cohorts: std::collections::BTreeMap<i32, Vec<u32>> = std::collections::BTreeMap::new();
     for (&w, agg) in &fused.workers {
-        let join = *agg.months.first().expect("active worker has months");
+        let Some(&join) = agg.months.first() else { continue };
         cohorts.entry(join).or_default().push(w);
     }
 

@@ -84,17 +84,18 @@ pub fn sessions(study: &Study, gap: Duration) -> SessionStats {
         });
     }
 
-    if out.sessions.is_empty() {
-        return out;
-    }
     // `median_sorted`, not `sorted[len / 2]`: the latter is the *upper*
     // central element on even-length lists, biasing both medians high.
     let mut spans: Vec<f64> = out.sessions.iter().map(|s| s.span_secs / 60.0).collect();
     spans.sort_by(f64::total_cmp);
-    out.median_span_mins = median_sorted(&spans).expect("sessions is non-empty");
     let mut counts: Vec<f64> = out.sessions.iter().map(|s| f64::from(s.instances)).collect();
     counts.sort_by(f64::total_cmp);
-    out.median_instances = median_sorted(&counts).expect("sessions is non-empty");
+    // Both are `None` exactly when there are no sessions.
+    let (Some(span_mins), Some(instances)) = (median_sorted(&spans), median_sorted(&counts)) else {
+        return out;
+    };
+    out.median_span_mins = span_mins;
+    out.median_instances = instances;
     out.mean_sessions_per_worker = out.sessions.len() as f64 / active_workers.max(1) as f64;
     out.single_instance_fraction =
         out.sessions.iter().filter(|s| s.instances == 1).count() as f64 / out.sessions.len() as f64;

@@ -11,7 +11,9 @@
 //!
 //! Gated ratios:
 //! * `BENCH_scan.json` `speedup_to_same_outputs` — fused single pass vs
-//!   one pass per analytics module, same six accumulators.
+//!   one pass per analytics module, same six accumulators; the median of
+//!   51 rounds that time both sides back to back, alternating which runs
+//!   first.
 //! * `BENCH_snapshot.json` `warm_speedup_vs_cold` — warm snapshot start
 //!   (meta payload only) vs the cold streamed build + snapshot write, at
 //!   one shard.
@@ -34,8 +36,9 @@
 //!   blocked MinHash kernel vs the frozen naive oracles in
 //!   `crowd-testkit`, same documents, same host.
 //! * `BENCH_scan.json` `fused_throughput_scale_ratio` — fused-scan rows/s
-//!   at scale 0.2 over rows/s at scale 0.05 (≈1 when linear); falls when
-//!   the scan's cost grows faster than its rows.
+//!   at scale 0.2 over rows/s at scale 0.05 (≈1 when linear), the median
+//!   of 15 such rounds; falls when the scan's cost grows faster than its
+//!   rows.
 //!
 //! Baselines are parsed with plain string scanning (no JSON dependency);
 //! the files are generated by our own benches, so the format is fixed.
@@ -44,9 +47,7 @@ use std::path::{Path, PathBuf};
 
 use std::sync::Arc;
 
-use crowd_bench::shapes::{
-    fused_scale_ratio, measure, run_fused, run_per_module, view_rebuild_ratio,
-};
+use crowd_bench::shapes::{fused_scale_ratio, measure, scan_speedup, view_rebuild_ratio};
 use crowd_bench::{bench_sim_config, bench_study};
 use crowd_ingest::{load_events_str, WalOptions};
 use crowd_serve::{EventFeed, LiveService};
@@ -92,10 +93,7 @@ fn temp_store(tag: &str, shards: usize) -> SnapshotStore {
 
 /// Fused single pass vs per-module passes over the bench study.
 fn measure_scan_ratio() -> f64 {
-    let ds = bench_study().dataset();
-    let (fused_s, _) = measure(5, || run_fused(ds));
-    let (seq_s, _) = measure(5, || run_per_module(ds));
-    seq_s / fused_s
+    scan_speedup(bench_study().dataset())
 }
 
 /// Warm snapshot start (meta only) vs the cold streamed build + write at

@@ -11,14 +11,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use crowd_bench::bench_study;
-use crowd_bench::shapes::{fused_rows_per_sec, measure, run_fused, run_per_module, MODULES};
+use crowd_bench::shapes::{fused_scale, measure, run_fused, run_per_module, scan_speedup, MODULES};
 use crowd_core::dataset::Dataset;
 
 fn write_report(ds: &Dataset) {
     let (fused_s, fused_rows) = measure(5, || run_fused(ds));
     let (seq_s, seq_rows) = measure(5, || run_per_module(ds));
-    let small_rps = fused_rows_per_sec(0.05, 3);
-    let large_rps = fused_rows_per_sec(0.2, 3);
+    let speedup = scan_speedup(ds);
+    let (small_rps, large_rps, scale_ratio) = fused_scale();
     let json = format!(
         r#"{{
   "benchmark": "crates/bench/benches/scan.rs",
@@ -31,7 +31,7 @@ fn write_report(ds: &Dataset) {
   "speedup_to_same_outputs": {speedup:.2},
   "fused_scale": {{ "rows_per_sec_at_0.05": {small_rps:.0}, "rows_per_sec_at_0.2": {large_rps:.0} }},
   "fused_throughput_scale_ratio": {scale_ratio:.2},
-  "note": "rows_per_sec is raw scan throughput; the fused pass reaches the same {modules} outputs having scanned {modules}x fewer rows. repro/export fuse all instance-level analytics into one such pass (tests/scan_fusion.rs). fused_scale is the full fused pass (crowd_analytics::fused::compute) at SimConfig::new(BENCH_SEED, scale), best of 3, one process and pool; the CI perf gate re-measures the ratio."
+  "note": "rows_per_sec is raw scan throughput; the fused pass reaches the same {modules} outputs having scanned {modules}x fewer rows. repro/export fuse all instance-level analytics into one such pass (tests/scan_fusion.rs). speedup_to_same_outputs is the median over 51 rounds, each timing both sides back to back and alternating which runs first, of per-module time over fused time (median_ms are medians of 5 separate runs). fused_scale is the full fused pass (crowd_analytics::fused::compute) at SimConfig::new(BENCH_SEED, scale), one process and pool, both scales timed in each of 15 such rounds: rows_per_sec at each side's median time, fused_throughput_scale_ratio the median of the per-round ratios. The CI perf gate re-measures both ratios the same way."
 }}
 "#,
         n = ds.instances.len(),
@@ -41,8 +41,6 @@ fn write_report(ds: &Dataset) {
         seq_ms = seq_s * 1e3,
         seq_rows = seq_rows,
         seq_rps = seq_rows as f64 / seq_s,
-        speedup = seq_s / fused_s,
-        scale_ratio = large_rps / small_rps,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
     match std::fs::write(path, json) {

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crowd_analytics::FusedView;
-use crowd_core::dataset::{Dataset, InstanceColumns, InstanceRef};
-use crowd_core::{Accumulator, InstanceId, ScanPass};
+use crowd_core::dataset::{Dataset, InstanceColumns};
+use crowd_core::{Accumulator, ScanPass};
 
 /// Instances issued per day — `arrivals::daily_load` shape.
 #[derive(Debug, Default)]
@@ -22,9 +22,6 @@ impl Accumulator for DailyIssued {
     type Output = BTreeMap<i64, u64>;
     fn init(&self) -> Self {
         DailyIssued::default()
-    }
-    fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        *self.0.entry(row.start.day_number()).or_insert(0) += 1;
     }
     fn accept_chunk(
         &mut self,
@@ -56,9 +53,6 @@ impl Accumulator for WeekdayHist {
     fn init(&self) -> Self {
         WeekdayHist::default()
     }
-    fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        self.0[row.start.weekday().index()] += 1;
-    }
     fn accept_chunk(
         &mut self,
         _ds: &Dataset,
@@ -89,10 +83,6 @@ impl Accumulator for TrustSum {
     fn init(&self) -> Self {
         TrustSum::default()
     }
-    fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        self.0 += f64::from(row.trust);
-    }
-    // Same values, same ascending order → bit-identical float sum.
     fn accept_chunk(
         &mut self,
         _ds: &Dataset,
@@ -120,9 +110,6 @@ impl Accumulator for WorkSecs {
     type Output = f64;
     fn init(&self) -> Self {
         WorkSecs::default()
-    }
-    fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        self.0 += row.work_time().as_secs() as f64;
     }
     fn accept_chunk(
         &mut self,
@@ -154,9 +141,6 @@ impl Accumulator for PerWorkerTasks {
     fn init(&self) -> Self {
         PerWorkerTasks::default()
     }
-    fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        *self.0.entry(row.worker.raw()).or_insert(0) += 1;
-    }
     fn accept_chunk(
         &mut self,
         _ds: &Dataset,
@@ -186,9 +170,6 @@ impl Accumulator for PerItemJudgments {
     type Output = BTreeMap<(u32, u32), u32>;
     fn init(&self) -> Self {
         PerItemJudgments::default()
-    }
-    fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        *self.0.entry((row.batch.raw(), row.item.raw())).or_insert(0) += 1;
     }
     fn accept_chunk(
         &mut self,
@@ -304,33 +285,83 @@ pub fn measure(runs: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
     (times[times.len() / 2], out)
 }
 
-/// Rows per second of the full fused pass (`crowd_analytics::fused::compute`)
-/// over a study simulated at `SimConfig::new(BENCH_SEED, scale)`, best of
-/// `runs`, in the current rayon pool.
-pub fn fused_rows_per_sec(scale: f64, runs: usize) -> f64 {
-    let study = crowd_analytics::Study::new(crowd_sim::simulate(&crowd_sim::SimConfig::new(
-        crate::BENCH_SEED,
-        scale,
-    )));
-    let rows = study.n_instances() as f64;
-    let best = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(crowd_analytics::fused::compute(&study));
-            t.elapsed().as_secs_f64()
+/// Seconds taken by `a` and by `b` in each of `rounds` rounds that time
+/// the two back to back, alternating which of them runs first.
+pub fn alternating_rounds(
+    rounds: usize,
+    mut a: impl FnMut() -> u64,
+    mut b: impl FnMut() -> u64,
+) -> Vec<(f64, f64)> {
+    let time = |f: &mut dyn FnMut() -> u64| {
+        let t = Instant::now();
+        black_box(f());
+        t.elapsed().as_secs_f64()
+    };
+    (0..rounds)
+        .map(|round| {
+            if round % 2 == 0 {
+                let ta = time(&mut a);
+                (ta, time(&mut b))
+            } else {
+                let tb = time(&mut b);
+                (time(&mut a), tb)
+            }
         })
-        .fold(f64::INFINITY, f64::min);
-    rows / best
+        .collect()
 }
 
-/// `fused_throughput_scale_ratio`: fused rows/s at scale 0.2 over rows/s
-/// at scale 0.05, one process, one pool, best of 3 each. A scan linear in
-/// its rows scores ≈ 1; state that grows faster than the rows (a merge
-/// quadratic in the keys, per-chunk state that scales with the table)
-/// drags the large side down, which fixed-size throughput ratios cannot
-/// see.
+/// The median over `rounds` of `f(seconds of a, seconds of b)`. Pairing
+/// the sides round by round makes host noise that outlasts a round slow
+/// both sides of it alike, and the median drops the rounds a shorter
+/// burst hit. On a shared 2-core host this holds a ratio steadier than
+/// dividing two separately taken medians or minima, and minima bias it:
+/// the shorter side is likelier to hit a quiet spell.
+pub fn median_of_rounds(rounds: &[(f64, f64)], f: impl Fn(f64, f64) -> f64) -> f64 {
+    let mut v: Vec<f64> = rounds.iter().map(|&(a, b)| f(a, b)).collect();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// `speedup_to_same_outputs`: one pass per module over one fused pass on
+/// `ds`, the median of 51 paired rounds (a side takes ~5 ms on the bench
+/// study).
+pub fn scan_speedup(ds: &Dataset) -> f64 {
+    let rounds = alternating_rounds(51, || run_fused(ds), || run_per_module(ds));
+    median_of_rounds(&rounds, |fused, per_module| per_module / fused)
+}
+
+/// Fused-pass throughput from scale 0.05 to 0.2: the full pass
+/// (`crowd_analytics::fused::compute`) over studies simulated at
+/// `SimConfig::new(BENCH_SEED, scale)`, both timed in each of 15
+/// alternating rounds in the current rayon pool. Returns rows/s at 0.05
+/// and at 0.2, each at its median time, and
+/// `fused_throughput_scale_ratio`: the median over rounds of the 0.2
+/// rows/s over the 0.05 rows/s. A scan linear in its rows scores ≈ 1;
+/// state that grows faster than the rows (a merge quadratic in the keys,
+/// per-chunk state that scales with the table) drags the large side
+/// down, which fixed-size throughput ratios cannot see.
+pub fn fused_scale() -> (f64, f64, f64) {
+    let study = |scale| {
+        crowd_analytics::Study::new(crowd_sim::simulate(&crowd_sim::SimConfig::new(
+            crate::BENCH_SEED,
+            scale,
+        )))
+    };
+    let (small, large) = (study(0.05), study(0.2));
+    let (n_small, n_large) = (small.n_instances() as f64, large.n_instances() as f64);
+    let scan = |s: &crowd_analytics::Study| {
+        black_box(crowd_analytics::fused::compute(s));
+        s.n_instances() as u64
+    };
+    let rounds = alternating_rounds(15, || scan(&small), || scan(&large));
+    (
+        n_small / median_of_rounds(&rounds, |s, _| s),
+        n_large / median_of_rounds(&rounds, |_, l| l),
+        median_of_rounds(&rounds, |s, l| (n_large / l) / (n_small / s)),
+    )
+}
+
+/// `fused_throughput_scale_ratio` alone (see [`fused_scale`]).
 pub fn fused_scale_ratio() -> f64 {
-    let small = fused_rows_per_sec(0.05, 3);
-    let large = fused_rows_per_sec(0.2, 3);
-    large / small
+    fused_scale().2
 }

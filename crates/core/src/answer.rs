@@ -1,6 +1,7 @@
 //! Worker answers and the exact-agreement relation the paper's
 //! disagreement score is built on (§4.1 "Error: Disagreement Score").
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A worker's response to a task question.
@@ -65,29 +66,20 @@ impl fmt::Display for Answer {
 /// (§4.1): all worker pairs are compared; identical answers contribute 0,
 /// differing answers 1. Returns `None` when fewer than two answers exist —
 /// disagreement is undefined without a pair.
-pub fn item_disagreement(answers: &[Answer]) -> Option<f64> {
-    item_disagreement_impl(answers.iter())
-}
-
-/// [`item_disagreement`] over borrowed answers, for callers that index
-/// answers by item without owning them (the enrichment hot loop) — avoids
-/// cloning each answer just to build a contiguous slice.
-pub fn item_disagreement_ref(answers: &[&Answer]) -> Option<f64> {
-    item_disagreement_impl(answers.iter().copied())
-}
-
-fn item_disagreement_impl<'a>(answers: impl ExactSizeIterator<Item = &'a Answer>) -> Option<f64> {
-    let n = answers.len();
+///
+/// Takes owned or borrowed answers (`&[Answer]`, `&[&Answer]`), so callers
+/// that index answers by item need not clone them.
+pub fn item_disagreement<A: Borrow<Answer>>(answers: &[A]) -> Option<f64> {
+    let n = answers.len() as u64;
     if n < 2 {
         return None;
     }
     // O(k·n) via counting identical answers instead of O(n²) pair loops:
-    // pairs agreeing = Σ_v C(count_v, 2) over distinct non-skip values.
+    // pairs agreeing = Σ_v C(count_v, 2) over distinct non-skip values;
+    // skips form only disagreeing pairs.
     let mut counts: Vec<(&Answer, u64)> = Vec::new();
-    let mut skips = 0u64;
-    for a in answers {
+    for a in answers.iter().map(Borrow::borrow) {
         if matches!(a, Answer::Skipped) {
-            skips += 1;
             continue;
         }
         match counts.iter_mut().find(|(v, _)| *v == a) {
@@ -95,9 +87,8 @@ fn item_disagreement_impl<'a>(answers: impl ExactSizeIterator<Item = &'a Answer>
             None => counts.push((a, 1)),
         }
     }
-    let total_pairs = (n as u64 * (n as u64 - 1)) / 2;
+    let total_pairs = n * (n - 1) / 2;
     let agreeing: u64 = counts.iter().map(|&(_, c)| c * (c - 1) / 2).sum();
-    let _ = skips; // skips form only disagreeing pairs.
     Some((total_pairs - agreeing) as f64 / total_pairs as f64)
 }
 
@@ -144,7 +135,7 @@ mod tests {
 
     #[test]
     fn item_disagreement_undefined_below_two() {
-        assert_eq!(item_disagreement(&[]), None);
+        assert_eq!(item_disagreement::<Answer>(&[]), None);
         assert_eq!(item_disagreement(&[Answer::Choice(1)]), None);
     }
 
@@ -157,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn ref_variant_matches_owned() {
+    fn borrowed_answers_match_owned() {
         let answers = vec![
             Answer::Choice(0),
             Answer::Choice(0),
@@ -166,9 +157,9 @@ mod tests {
             Answer::Skipped,
         ];
         let refs: Vec<&Answer> = answers.iter().collect();
-        assert_eq!(item_disagreement_ref(&refs), item_disagreement(&answers));
-        assert_eq!(item_disagreement_ref(&refs[..1]), None);
-        assert_eq!(item_disagreement_ref(&[]), None);
+        assert_eq!(item_disagreement(&refs), item_disagreement(&answers));
+        assert_eq!(item_disagreement(&refs[..1]), None);
+        assert_eq!(item_disagreement::<&Answer>(&[]), None);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! 1. The table is split into **fixed-size** chunks of [`ScanPass::CHUNK`]
 //!    rows — chunk boundaries depend only on the table length, never on
 //!    the number of worker threads.
-//! 2. Each chunk folds rows in ascending row order into a fresh
+//! 2. Each chunk folds its rows in ascending row order into a fresh
 //!    accumulator cloned from the registered prototype
-//!    ([`Accumulator::init`]).
+//!    ([`Accumulator::init`]), in one [`Accumulator::accept_chunk`] call
+//!    — the trait's only fold.
 //! 3. Chunk results are merged **sequentially, in chunk order**
 //!    ([`Accumulator::merge`]), exactly as if the chunks had been
 //!    processed one after another on a single thread.
@@ -57,8 +58,7 @@ use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::dataset::{Dataset, InstanceColumns, InstanceRef};
-use crate::id::InstanceId;
+use crate::dataset::{Dataset, InstanceColumns};
 
 thread_local! {
     /// Full-table scans started on this thread; a diagnostic aid for
@@ -96,34 +96,25 @@ pub trait Accumulator: Send + Sync {
     where
         Self: Sized;
 
-    /// Folds one row into the running state. Rows arrive in ascending row
-    /// order within a chunk.
-    fn accept(&mut self, ds: &Dataset, id: InstanceId, row: InstanceRef<'_>);
-
     /// Folds local rows `range` of `cols` into the running state; `base`
-    /// offsets local row indices into global instance ids. The engine
-    /// calls this once per chunk, so `range` never exceeds
-    /// [`ScanPass::CHUNK`] rows.
+    /// offsets local row indices into global instance ids (row `i` is
+    /// instance `base + i`). The engine calls this once per chunk, so
+    /// `range` never exceeds [`ScanPass::CHUNK`] rows.
     ///
-    /// The default implementation loops [`accept`](Self::accept) in
-    /// ascending row order. Accumulators on the hot path may override it
-    /// with columnar sub-loops over the chunk's column slices
-    /// (DESIGN.md §18) — an override must be observably identical to the
-    /// default, state and float bits included: same per-row values, and
-    /// ascending row order preserved *within* every independently
-    /// accumulated family (disjoint families may interleave differently;
-    /// their accumulation sequences don't share state).
+    /// An implementation may read the chunk row by row
+    /// ([`InstanceColumns::row`]) or in columnar sub-loops over the
+    /// chunk's column slices (DESIGN.md §18). Either way, rows fold in
+    /// ascending order *within* every independently accumulated family —
+    /// that order is part of the determinism contract (module docs);
+    /// disjoint families may interleave differently, as their
+    /// accumulation sequences share no state.
     fn accept_chunk(
         &mut self,
         ds: &Dataset,
         base: usize,
         cols: &InstanceColumns,
         range: std::ops::Range<usize>,
-    ) {
-        for i in range {
-            self.accept(ds, InstanceId::from_usize(base + i), cols.row(i));
-        }
-    }
+    );
 
     /// Absorbs the state of `other`, which covers the rows immediately
     /// after this accumulator's rows.
@@ -433,10 +424,6 @@ macro_rules! impl_accumulator_tuple {
                 ($(self.$idx.init(),)+)
             }
 
-            fn accept(&mut self, ds: &Dataset, id: InstanceId, row: InstanceRef<'_>) {
-                $(self.$idx.accept(ds, id, row);)+
-            }
-
             fn accept_chunk(
                 &mut self,
                 ds: &Dataset,
@@ -444,10 +431,8 @@ macro_rules! impl_accumulator_tuple {
                 cols: &InstanceColumns,
                 range: std::ops::Range<usize>,
             ) {
-                // Forward per element (not via the default row loop), so a
-                // fused member with a columnar kernel keeps it inside a
-                // tuple. Element states are disjoint, and each element
-                // still sees the chunk's rows in ascending order.
+                // Element states are disjoint, and each element sees the
+                // chunk's rows in ascending order.
                 $(self.$idx.accept_chunk(ds, base, cols, range.clone());)+
             }
 
@@ -475,7 +460,7 @@ mod tests {
     use super::*;
     use crate::answer::Answer;
     use crate::dataset::{DatasetBuilder, TaskInstance};
-    use crate::id::ItemId;
+    use crate::id::{InstanceId, ItemId};
     use crate::task::{Batch, TaskType};
     use crate::time::{Duration, Timestamp};
     use crate::worker::{Source, SourceKind, Worker};
@@ -494,8 +479,17 @@ mod tests {
             TrustSum::default()
         }
 
-        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-            self.sum += f64::from(row.trust);
+        fn accept_chunk(
+            &mut self,
+            _ds: &Dataset,
+            _base: usize,
+            cols: &InstanceColumns,
+            range: std::ops::Range<usize>,
+        ) {
+            for i in range {
+                let row = cols.row(i);
+                self.sum += f64::from(row.trust);
+            }
         }
 
         fn merge(&mut self, other: Self) {
@@ -521,9 +515,18 @@ mod tests {
             CountSince { cutoff: self.cutoff, n: 0 }
         }
 
-        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-            if row.start >= self.cutoff {
-                self.n += 1;
+        fn accept_chunk(
+            &mut self,
+            _ds: &Dataset,
+            _base: usize,
+            cols: &InstanceColumns,
+            range: std::ops::Range<usize>,
+        ) {
+            for i in range {
+                let row = cols.row(i);
+                if row.start >= self.cutoff {
+                    self.n += 1;
+                }
             }
         }
 
@@ -607,9 +610,9 @@ mod tests {
         assert_eq!(since, 5_000);
     }
 
-    /// Columnar twin of [`TrustSum`]: overrides `accept_chunk` with a
-    /// tight fold over the trust column slice — same values, same order,
-    /// so the float bits must match the row-loop default exactly.
+    /// Columnar twin of [`TrustSum`]: a tight fold over the trust column
+    /// slice instead of row views — same values, same order, so the float
+    /// bits must match the row loop exactly.
     #[derive(Debug, Default)]
     struct ColumnarTrustSum {
         sum: f64,
@@ -620,10 +623,6 @@ mod tests {
 
         fn init(&self) -> Self {
             ColumnarTrustSum::default()
-        }
-
-        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-            self.sum += f64::from(row.trust);
         }
 
         fn accept_chunk(
@@ -721,8 +720,17 @@ mod tests {
             fn init(&self) -> Self {
                 MaxId::default()
             }
-            fn accept(&mut self, _ds: &Dataset, id: InstanceId, _row: InstanceRef<'_>) {
-                self.0 = self.0.max(u64::from(id.raw()));
+            fn accept_chunk(
+                &mut self,
+                _ds: &Dataset,
+                base: usize,
+                _cols: &InstanceColumns,
+                range: std::ops::Range<usize>,
+            ) {
+                for i in range {
+                    let id = InstanceId::from_usize(base + i);
+                    self.0 = self.0.max(u64::from(id.raw()));
+                }
             }
             fn merge(&mut self, other: Self) {
                 self.0 = self.0.max(other.0);
@@ -848,13 +856,9 @@ mod tests {
             ChunkLog { sum: 0.0, chunks: Vec::new(), chunk1_done: Arc::clone(&self.chunk1_done) }
         }
 
-        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-            self.sum += f64::from(row.trust);
-        }
-
         fn accept_chunk(
             &mut self,
-            ds: &Dataset,
+            _ds: &Dataset,
             base: usize,
             cols: &InstanceColumns,
             range: std::ops::Range<usize>,
@@ -864,7 +868,8 @@ mod tests {
                 self.chunk1_done.wait_for(1, "chunk 1 was not folded beside chunk 0");
             }
             for i in range {
-                self.accept(ds, InstanceId::from_usize(base + i), cols.row(i));
+                let row = cols.row(i);
+                self.sum += f64::from(row.trust);
             }
             self.chunks.push(chunk);
             if chunk == 1 {
@@ -942,10 +947,6 @@ mod tests {
             Reach { end: 0, width: self.width, progress: Arc::clone(&self.progress) }
         }
 
-        fn accept(&mut self, _ds: &Dataset, id: InstanceId, _row: InstanceRef<'_>) {
-            self.end = id.index() + 1;
-        }
-
         fn accept_chunk(
             &mut self,
             _ds: &Dataset,
@@ -1019,8 +1020,6 @@ mod tests {
             Boom { width: self.width, folded: Arc::clone(&self.folded) }
         }
 
-        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, _row: InstanceRef<'_>) {}
-
         fn accept_chunk(
             &mut self,
             _ds: &Dataset,
@@ -1082,8 +1081,6 @@ mod tests {
                 failed: Arc::clone(&self.failed),
             }
         }
-
-        fn accept(&mut self, _ds: &Dataset, _id: InstanceId, _row: InstanceRef<'_>) {}
 
         fn accept_chunk(
             &mut self,

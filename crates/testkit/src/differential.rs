@@ -19,7 +19,7 @@ use crowd_analytics::study::BatchMetrics;
 use crowd_analytics::Study;
 use crowd_core::prelude::*;
 
-use crate::oracle::oracle_fused;
+use crate::oracle::{oracle_fused, BatchRowMetrics};
 
 /// How floats are compared; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +72,13 @@ impl Reporter {
 
     fn exact<T: PartialEq + std::fmt::Debug>(&mut self, a: &T, b: &T, field: impl Fn() -> String) {
         if a != b {
+            self.mismatch(|| format!("{}: {a:?} vs {b:?}", field()));
+        }
+    }
+
+    /// Both absent, or both present and equal to the bit.
+    fn bits(&mut self, a: Option<f64>, b: Option<f64>, field: impl Fn() -> String) {
+        if a.map(f64::to_bits) != b.map(f64::to_bits) {
             self.mismatch(|| format!("{}: {a:?} vs {b:?}", field()));
         }
     }
@@ -151,6 +158,28 @@ pub fn compare_fused(a: &Fused, b: &Fused, mode: FloatMode) -> Vec<String> {
         }
     }
 
+    r.finish()
+}
+
+/// Compares enriched batches with the §4.1 oracle
+/// ([`batch_metrics`](crate::oracle::batch_metrics)): the same sampled
+/// batches in the same order, counts exact and every metric to the bit.
+/// Returns one message per mismatching field (empty when they agree).
+pub fn compare_batch_metrics(engine: &[BatchMetrics], oracle: &[BatchRowMetrics]) -> Vec<String> {
+    let mut r = Reporter::new();
+    let ea: Vec<u32> = engine.iter().map(|m| m.batch.raw()).collect();
+    let oa: Vec<u32> = oracle.iter().map(|m| m.batch.raw()).collect();
+    r.exact(&ea, &oa, || "batches".into());
+    if ea == oa {
+        for (e, o) in engine.iter().zip(oracle) {
+            let id = e.batch.raw();
+            r.exact(&e.n_instances, &o.n_instances, || format!("batch[{id}].n_instances"));
+            r.exact(&e.n_items, &o.n_items, || format!("batch[{id}].n_items"));
+            r.bits(e.disagreement, o.disagreement, || format!("batch[{id}].disagreement"));
+            r.bits(e.task_time, o.task_time, || format!("batch[{id}].task_time"));
+            r.bits(e.pickup_time, o.pickup_time, || format!("batch[{id}].pickup_time"));
+        }
+    }
     r.finish()
 }
 

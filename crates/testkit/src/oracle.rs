@@ -32,6 +32,11 @@
 //!
 //! [`oracle_fused`] composes the families into a full [`Fused`] value for
 //! field-by-field comparison.
+//!
+//! [`batch_metrics`] is the oracle for the other half of enrichment: the
+//! §4.1 per-batch effectiveness metrics (disagreement, median task time,
+//! median pickup time) that `Study::enriched_batches` and the streaming
+//! enricher both produce.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -281,4 +286,97 @@ pub fn oracle_fused(ds: &Dataset) -> Fused {
         instance_latency: latency_splices(ds),
         per_item: redundancy_counts(ds),
     }
+}
+
+/// The five fields of one sampled batch's
+/// [`BatchMetrics`](crowd_analytics::BatchMetrics) that come from its
+/// instance rows (§4.1); cluster ids and design features come from the
+/// batch HTML instead.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchRowMetrics {
+    /// The batch.
+    pub batch: BatchId,
+    /// Instances of the batch.
+    pub n_instances: u32,
+    /// Distinct items the batch's instances operate on.
+    pub n_items: u32,
+    /// Mean item disagreement over the items with at least two answers.
+    pub disagreement: Option<f64>,
+    /// Median work seconds.
+    pub task_time: Option<f64>,
+    /// Median pickup seconds (start − batch creation).
+    pub pickup_time: Option<f64>,
+}
+
+/// §4.1 per-batch metrics for every sampled batch, in dataset order
+/// (zero-instance batches included, with every metric `None`).
+///
+/// One pass over the rows piles each sampled batch's work and pickup
+/// seconds and its answers per item. An item's disagreement is the
+/// pairwise definition itself — the mean of [`Answer::disagreement`]
+/// over all `n·(n−1)/2` pairs of its answers, `None` below two answers —
+/// and the batch score is the mean of its items' scores, added in
+/// ascending item id. Pair counts are whole numbers, so the numerator is
+/// exact and the score equals the engine's counting shortcut bit for
+/// bit. Medians go through [`median`].
+pub fn batch_metrics(ds: &Dataset) -> Vec<BatchRowMetrics> {
+    struct Pile<'a> {
+        times: Vec<f64>,
+        pickups: Vec<f64>,
+        by_item: BTreeMap<u32, Vec<&'a Answer>>,
+    }
+    let mut piles: Vec<Pile<'_>> = ds
+        .batches
+        .iter()
+        .map(|_| Pile { times: Vec::new(), pickups: Vec::new(), by_item: BTreeMap::new() })
+        .collect();
+    for row in ds.instances.iter() {
+        let batch = ds.batch(row.batch);
+        if !batch.sampled {
+            continue;
+        }
+        let pile = &mut piles[row.batch.index()];
+        pile.times.push(row.work_time().as_secs() as f64);
+        pile.pickups.push((row.start - batch.created_at).as_secs() as f64);
+        pile.by_item.entry(row.item.raw()).or_default().push(row.answer);
+    }
+
+    let mut out = Vec::new();
+    for (i, pile) in piles.iter().enumerate() {
+        if !ds.batches[i].sampled {
+            continue;
+        }
+        let mut scores: Vec<f64> = Vec::new();
+        for answers in pile.by_item.values() {
+            let n = answers.len();
+            if n < 2 {
+                continue;
+            }
+            let mut differing = 0.0;
+            for a in 0..n {
+                for b in a + 1..n {
+                    differing += answers[a].disagreement(answers[b]);
+                }
+            }
+            scores.push(differing / (n * (n - 1) / 2) as f64);
+        }
+        let disagreement = if scores.is_empty() {
+            None
+        } else {
+            let mut sum = 0.0;
+            for s in &scores {
+                sum += s;
+            }
+            Some(sum / scores.len() as f64)
+        };
+        out.push(BatchRowMetrics {
+            batch: BatchId::from_usize(i),
+            n_instances: pile.times.len() as u32,
+            n_items: pile.by_item.len() as u32,
+            disagreement,
+            task_time: median(&pile.times),
+            pickup_time: median(&pile.pickups),
+        });
+    }
+    out
 }

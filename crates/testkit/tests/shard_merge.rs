@@ -5,7 +5,7 @@
 //! the adversarial edge-case catalog and over simulated marketplaces large
 //! enough to split into several real shards.
 
-use crowd_core::dataset::{Dataset, InstanceRef};
+use crowd_core::dataset::{Dataset, InstanceColumns};
 use crowd_core::id::InstanceId;
 use crowd_core::{Accumulator, ScanPass, ShardPlan};
 use crowd_sim::{simulate, SimConfig};
@@ -41,10 +41,19 @@ impl Accumulator for Probe {
         Probe { n: 0, trust_sum: 0.0, pos_hash: 0 }
     }
 
-    fn accept(&mut self, _ds: &Dataset, id: InstanceId, row: InstanceRef<'_>) {
-        self.n += 1;
-        self.trust_sum += f64::from(row.trust);
-        self.pos_hash ^= mix((id.index() as u64) << 20 | row.worker.index() as u64);
+    fn accept_chunk(
+        &mut self,
+        _ds: &Dataset,
+        base: usize,
+        cols: &InstanceColumns,
+        range: std::ops::Range<usize>,
+    ) {
+        for i in range {
+            let (id, row) = (InstanceId::from_usize(base + i), cols.row(i));
+            self.n += 1;
+            self.trust_sum += f64::from(row.trust);
+            self.pos_hash ^= mix((id.index() as u64) << 20 | row.worker.index() as u64);
+        }
     }
 
     fn merge(&mut self, other: Self) {

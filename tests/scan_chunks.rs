@@ -29,9 +29,18 @@ impl Accumulator for TrustProbe {
         TrustProbe::default()
     }
 
-    fn accept(&mut self, _ds: &Dataset, _id: InstanceId, row: InstanceRef<'_>) {
-        self.sum += f64::from(row.trust).sqrt();
-        self.rows += 1;
+    fn accept_chunk(
+        &mut self,
+        _ds: &Dataset,
+        _base: usize,
+        cols: &InstanceColumns,
+        range: std::ops::Range<usize>,
+    ) {
+        for i in range {
+            let row = cols.row(i);
+            self.sum += f64::from(row.trust).sqrt();
+            self.rows += 1;
+        }
     }
 
     fn merge(&mut self, other: Self) {
