@@ -27,10 +27,11 @@
 //!   live view's incremental delta application vs rebuilding the fused
 //!   view from row zero at every delta boundary; collapses toward 1 if
 //!   `FusedView::apply` starts re-folding the whole prefix per delta.
+//!   The median of 21 paired rounds.
 //! * `BENCH_serve.json` `wal_append_overhead` — apply throughput with
 //!   the write-ahead log in front of the fold vs without (fsync every 8
 //!   appends); collapses if `WalWriter::append` starts re-serializing
-//!   the log or fsyncing per event.
+//!   the log or fsyncing per event. The median of 21 paired rounds.
 //! * `BENCH_kernel.json` `shingle_speedup_vs_oracle` and
 //!   `sign_speedup_vs_oracle` — the allocation-free shingler and the
 //!   blocked MinHash kernel vs the frozen naive oracles in
@@ -47,7 +48,10 @@ use std::path::{Path, PathBuf};
 
 use std::sync::Arc;
 
-use crowd_bench::shapes::{fused_scale_ratio, measure, scan_speedup, view_rebuild_ratio};
+use crowd_bench::shapes::{
+    alternating_rounds, fused_scale_ratio, measure, median_of_rounds, scan_speedup,
+    view_rebuild_ratio,
+};
 use crowd_bench::{bench_sim_config, bench_study};
 use crowd_ingest::{load_events_str, WalOptions};
 use crowd_serve::{EventFeed, LiveService};
@@ -148,22 +152,23 @@ fn measure_serve_ratio() -> f64 {
 
 /// Apply throughput with the write-ahead log in front of the fold vs
 /// without, same stream and delta width as `benches/serve.rs` (fsync
-/// every 8 appends). The ratio is ≤ 1 by construction and collapses if
+/// every 8 appends): the median of 21 rounds that time both sides back
+/// to back. The ratio is ≤ 1 by construction and collapses if
 /// `WalWriter::append` regresses — re-serializing the whole log, an
 /// fsync per event, a copy per record.
 fn measure_wal_overhead_ratio() -> f64 {
     let feed = EventFeed::from_config(&bench_sim_config());
     let log = load_events_str(&feed.to_csv(), &feed.entities).expect("clean bench feed");
-    let (plain_s, _) = measure(3, || {
+    let wal_dir = std::env::temp_dir().join(format!("crowd-bench-gate-wal-{}", std::process::id()));
+    let wal_opts = WalOptions { fsync_every: 8, ..WalOptions::default() };
+    let plain = || {
         let mut svc = LiveService::new(Arc::clone(&feed.entities));
         for chunk in log.events.chunks(8192) {
             svc.apply_events(chunk).expect("apply");
         }
         svc.rows().len() as u64
-    });
-    let wal_dir = std::env::temp_dir().join(format!("crowd-bench-gate-wal-{}", std::process::id()));
-    let wal_opts = WalOptions { fsync_every: 8, ..WalOptions::default() };
-    let (wal_s, _) = measure(3, || {
+    };
+    let logged = || {
         let _ = std::fs::remove_dir_all(&wal_dir);
         let mut svc = LiveService::new(Arc::clone(&feed.entities))
             .with_wal(&wal_dir, 2017, wal_opts)
@@ -173,9 +178,10 @@ fn measure_wal_overhead_ratio() -> f64 {
         }
         svc.wal_sync().expect("wal sync");
         svc.rows().len() as u64
-    });
+    };
+    let rounds = alternating_rounds(21, plain, logged);
     let _ = std::fs::remove_dir_all(&wal_dir);
-    plain_s / wal_s
+    median_of_rounds(&rounds, |plain_s, wal_s| plain_s / wal_s)
 }
 
 /// Allocation-free shingling kernel vs the naive testkit oracle.

@@ -153,8 +153,9 @@ fn main() {
         svc.events_applied()
     });
     let (restore_s, restored_at) = measure(5, || {
-        let (restored, faults) = LiveService::restore(store.clone(), u64::MAX).expect("restore");
-        assert!(faults.is_empty());
+        let (restored, report) =
+            LiveService::restore(store.clone(), u64::MAX, Arc::clone(&feed.entities));
+        assert!(report.checkpoint_faults.is_empty());
         restored.events_applied()
     });
     assert_eq!(restored_at, svc.events_applied());

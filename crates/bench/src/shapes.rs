@@ -227,7 +227,8 @@ pub fn run_per_module(ds: &Dataset) -> u64 {
 /// applies `rows` to a [`FusedView`] in `delta`-row batches once, then
 /// rebuilds a fresh view over the full prefix at every one of those same
 /// boundaries — the cost a naive "recompute on refresh" service pays.
-/// Returns rebuild-time / incremental-time (bigger is better).
+/// Returns rebuild-time / incremental-time (bigger is better), the median
+/// of 21 rounds that time both sides back to back ([`median_of_rounds`]).
 ///
 /// The shape of the ratio is what the gate pins: with D equal deltas the
 /// rebuild side scans ~D/2 times more rows, so the ratio collapses
@@ -252,24 +253,25 @@ pub fn view_rebuild_ratio(entities: &Arc<Dataset>, rows: &InstanceColumns, delta
         .collect();
     let prefixes: Vec<InstanceColumns> = cuts.iter().map(|&cut| rows.clone_range(0..cut)).collect();
 
-    let (incremental, applied) = measure(5, || {
+    let incremental = || {
         let mut view = FusedView::new(Arc::clone(entities));
         let mut last = 0;
         for d in &deltas {
             last = view.apply(d).fused.n_instances();
         }
+        assert_eq!(last, n as u64);
         last
-    });
-    assert_eq!(applied, n as u64);
-    let (rebuild, _) = measure(3, || {
+    };
+    let rebuild = || {
         let mut last = 0;
         for p in &prefixes {
             let mut view = FusedView::new(Arc::clone(entities));
             last = view.apply(p).fused.n_instances();
         }
         last
-    });
-    rebuild / incremental
+    };
+    let rounds = alternating_rounds(21, incremental, rebuild);
+    median_of_rounds(&rounds, |incremental, rebuild| rebuild / incremental)
 }
 
 /// Median wall-clock of `runs` calls to `f`, with the value `f` returned.

@@ -1,4 +1,5 @@
-//! CSV import/export of datasets (RFC-4180-style quoting).
+//! CSV export of datasets (RFC-4180-style quoting) and the record
+//! parsers that read them back.
 //!
 //! The marketplace delivered its data as per-batch flat files (paper §2.3);
 //! this module provides the equivalent interchange format so datasets can be
@@ -11,6 +12,11 @@
 //! Every file lands via a temp sibling + rename, so an interrupted export
 //! never leaves a torn table: either the old file survives intact or the
 //! new one is complete.
+//!
+//! An exported directory loads through `crowd_ingest::ingest_dir`, which
+//! runs these record parsers under a quarantine budget. There is no second,
+//! trusting loader: a strict load is `ingest_dir` with
+//! `ErrorBudget::strict()`, where the first rejected record fails the load.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -18,7 +24,7 @@ use std::io::{self};
 use std::path::Path;
 
 use crate::answer::Answer;
-use crate::dataset::{Dataset, DatasetBuilder, TaskInstance};
+use crate::dataset::{Dataset, TaskInstance};
 use crate::error::{CoreError, Result};
 use crate::id::{BatchId, CountryId, ItemId, SourceId, TaskTypeId, WorkerId};
 use crate::labels::LabelSet;
@@ -422,6 +428,9 @@ impl TableDigest {
 /// File name of the export manifest inside a dataset directory.
 pub const MANIFEST_FILE: &str = "manifest.csv";
 
+/// Header record of [`MANIFEST_FILE`].
+const MANIFEST_HEADER: &str = "table,rows,digest";
+
 /// One manifest row: a table's exported row count and content digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ManifestEntry {
@@ -449,25 +458,45 @@ impl Manifest {
 
     /// Serializes the manifest (digest as 16-digit lower hex).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("table,rows,digest\n");
+        let mut out = format!("{MANIFEST_HEADER}\n");
         for e in &self.entries {
             let _ = writeln!(out, "{},{},{:016x}", e.table.name(), e.rows, e.digest);
         }
         out
     }
 
-    /// Parses a manifest document; unknown table names are an error.
+    /// Parses a manifest document. A wrong header, a record without
+    /// exactly three fields, an unknown table name or an unparsable count
+    /// or digest is a [`CoreError::Csv`] naming its line.
     pub fn parse(text: &str) -> Result<Manifest> {
+        let mut records = parse_records(text);
+        match records.next() {
+            Some(Ok((_, f))) if f.join(",") == MANIFEST_HEADER => {}
+            Some(Ok((line, _))) => {
+                return Err(CoreError::Csv {
+                    line,
+                    message: format!("expected header `{MANIFEST_HEADER}`"),
+                })
+            }
+            Some(Err(e)) => return Err(e),
+            None => return Err(CoreError::Csv { line: 1, message: "empty file".into() }),
+        }
         let mut entries = Vec::new();
-        for rec in TableReader::new(text, "table,rows,digest")? {
+        for rec in records {
             let (line, f) = rec?;
-            let table = Table::from_name(&f[0]).ok_or_else(|| CoreError::Csv {
+            let [table, rows, digest] = f.as_slice() else {
+                return Err(CoreError::Csv {
+                    line,
+                    message: format!("expected 3 fields, got {}", f.len()),
+                });
+            };
+            let table = Table::from_name(table).ok_or_else(|| CoreError::Csv {
                 line,
-                message: format!("unknown table `{}`", f[0]),
+                message: format!("unknown table `{table}`"),
             })?;
-            let rows = parse_num(&f[1], line, "row count")?;
-            let digest = u64::from_str_radix(&f[2], 16)
-                .map_err(|_| CoreError::Csv { line, message: format!("bad digest `{}`", f[2]) })?;
+            let rows = parse_num(rows, line, "row count")?;
+            let digest = u64::from_str_radix(digest, 16)
+                .map_err(|_| CoreError::Csv { line, message: format!("bad digest `{digest}`") })?;
             entries.push(ManifestEntry { table, rows, digest });
         }
         Ok(Manifest { entries })
@@ -556,51 +585,6 @@ pub fn export_dir(ds: &Dataset, dir: &Path) -> io::Result<()> {
     write_atomic(&dir.join(MANIFEST_FILE), &manifest.to_csv())
 }
 
-struct TableReader<'a> {
-    records: CsvRecords<'a>,
-    expected_fields: usize,
-}
-
-impl<'a> TableReader<'a> {
-    fn new(text: &'a str, header: &str) -> Result<Self> {
-        let expected_fields = header.split(',').count();
-        let mut records = parse_records(text);
-        match records.next() {
-            Some(Ok((_, fields))) if fields.join(",") == header => {}
-            Some(Ok((line, _))) => {
-                return Err(CoreError::Csv { line, message: format!("expected header `{header}`") })
-            }
-            Some(Err(e)) => return Err(e),
-            None => return Err(CoreError::Csv { line: 1, message: "empty file".into() }),
-        }
-        Ok(TableReader { records, expected_fields })
-    }
-}
-
-impl Iterator for TableReader<'_> {
-    type Item = Result<(usize, Vec<String>)>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let rec = self.records.next()?;
-        Some(rec.and_then(|(line, fields)| {
-            if fields.len() == 1 && fields[0].is_empty() {
-                // Trailing blank line.
-                return Err(CoreError::Csv { line, message: "blank record".into() });
-            }
-            if fields.len() != self.expected_fields {
-                return Err(CoreError::Csv {
-                    line,
-                    message: format!(
-                        "expected {} fields, got {}",
-                        self.expected_fields,
-                        fields.len()
-                    ),
-                });
-            }
-            Ok((line, fields))
-        }))
-    }
-}
-
 fn parse_num<T: std::str::FromStr>(s: &str, line: usize, what: &str) -> Result<T> {
     s.parse().map_err(|_| CoreError::Csv { line, message: format!("bad {what} `{s}`") })
 }
@@ -682,48 +666,10 @@ pub fn parse_instance_row(f: &[String], line: usize) -> Result<TaskInstance> {
     })
 }
 
-/// Reads the six `<name>.csv` tables from `dir` and validates the result.
-///
-/// This is the strict path: the first malformed byte aborts the load. The
-/// `crowd-ingest` crate layers quarantine, retry, and manifest verification
-/// on the same record parsers for untrusted input.
-pub fn import_dir(dir: &Path) -> Result<Dataset> {
-    let read = |name: &str| -> Result<String> {
-        fs::read_to_string(dir.join(name))
-            .map_err(|e| CoreError::Csv { line: 0, message: format!("{name}: {e}") })
-    };
-    let mut b = DatasetBuilder::new();
-
-    for rec in TableReader::new(&read("sources.csv")?, Table::Sources.header())? {
-        let (line, f) = rec?;
-        b.add_source(parse_source_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("countries.csv")?, Table::Countries.header())? {
-        let (line, f) = rec?;
-        b.add_country(&parse_country_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("workers.csv")?, Table::Workers.header())? {
-        let (line, f) = rec?;
-        b.add_worker(parse_worker_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("task_types.csv")?, Table::TaskTypes.header())? {
-        let (line, f) = rec?;
-        b.add_task_type(parse_task_type_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("batches.csv")?, Table::Batches.header())? {
-        let (line, f) = rec?;
-        b.add_batch(parse_batch_row(&f, line)?);
-    }
-    for rec in TableReader::new(&read("instances.csv")?, Table::Instances.header())? {
-        let (line, f) = rec?;
-        b.add_instance(parse_instance_row(&f, line)?);
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::DatasetBuilder;
     use crate::labels::{DataType, Goal, Operator};
     use crate::time::Duration;
 
@@ -802,21 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn full_roundtrip_via_dir() {
-        let ds = sample();
-        let dir = std::env::temp_dir().join(format!("crowd_csv_test_{}", std::process::id()));
-        export_dir(&ds, &dir).unwrap();
-        let back = import_dir(&dir).unwrap();
-        assert_eq!(back.sources, ds.sources);
-        assert_eq!(back.countries, ds.countries);
-        assert_eq!(back.workers, ds.workers);
-        assert_eq!(back.task_types, ds.task_types);
-        assert_eq!(back.batches, ds.batches);
-        assert_eq!(back.instances, ds.instances);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn answer_field_roundtrip() {
         for a in [Answer::Choice(7), Answer::Text("x,y".into()), Answer::Skipped] {
             let f = answer_to_field(&a);
@@ -824,15 +755,6 @@ mod tests {
         }
         assert!(answer_from_field("Q:9", 1).is_err());
         assert!(answer_from_field("C:notanum", 1).is_err());
-    }
-
-    #[test]
-    fn import_rejects_wrong_header() {
-        let dir = std::env::temp_dir().join(format!("crowd_csv_badhdr_{}", std::process::id()));
-        export_dir(&sample(), &dir).unwrap();
-        std::fs::write(dir.join("workers.csv"), "wrong,header\n1,2\n").unwrap();
-        assert!(import_dir(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -945,14 +867,10 @@ mod tests {
         assert_eq!(Manifest::parse(&m.to_csv()).unwrap(), m);
         assert!(Manifest::parse("table,rows,digest\nnope,1,00\n").is_err());
         assert!(Manifest::parse("table,rows,digest\nsources,1,zz\n").is_err());
-    }
-
-    #[test]
-    fn import_rejects_wrong_arity() {
-        let dir = std::env::temp_dir().join(format!("crowd_csv_badarity_{}", std::process::id()));
-        export_dir(&sample(), &dir).unwrap();
-        std::fs::write(dir.join("workers.csv"), "source,country\n1\n").unwrap();
-        assert!(import_dir(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(Manifest::parse("table,rows\n"), Err(CoreError::Csv { line: 1, .. })));
+        assert!(matches!(
+            Manifest::parse("table,rows,digest\nsources,1\n"),
+            Err(CoreError::Csv { line: 2, .. })
+        ));
     }
 }

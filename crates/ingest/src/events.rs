@@ -44,9 +44,10 @@ use std::sync::Arc;
 use crowd_core::csv::{self, record_hash};
 use crowd_core::dataset::{Dataset, InstanceColumns, TaskInstance};
 use crowd_core::error::{CoreError, FaultClass};
-use crowd_core::provenance::{ErrorBudget, QuarantinedRow, TableReport, QUARANTINE_DETAIL_CAP};
+use crowd_core::provenance::{ErrorBudget, QuarantinedRow, TableReport};
 use crowd_core::{BatchId, InstanceId, Timestamp, WorkerId};
 
+use crate::loader::{check_instance, civil, line_of, quarantine};
 use crate::retry::{read_all_with_retry, Backoff, Clock, SystemClock};
 
 /// Table name events are reported and quarantined under.
@@ -232,7 +233,8 @@ pub struct EventLog {
     /// Accept/repair/dedup/quarantine accounting for the stream.
     pub report: TableReport,
     /// Detail on quarantined records (capped at
-    /// [`QUARANTINE_DETAIL_CAP`]; the report counts stay exact).
+    /// [`QUARANTINE_DETAIL_CAP`](crowd_core::provenance::QUARANTINE_DETAIL_CAP);
+    /// the report counts stay exact).
     pub quarantine: Vec<QuarantinedRow>,
 }
 
@@ -356,9 +358,8 @@ struct Trailer {
 ///
 /// `entities` supplies the already-loaded entity tables: dangling batch /
 /// worker references are quarantined against them, and `Posted` events take
-/// their timestamp from the batch table. Instance rows referenced by
-/// `Completed` events are validated with the same semantic rules as the
-/// table loader (non-negative duration, trust in `[0, 1]`).
+/// their timestamp from the batch table. The instance row a `Completed`
+/// event carries must pass the table loader's row rule.
 pub fn load_events(
     reader: &mut dyn Read,
     entities: &Dataset,
@@ -385,28 +386,21 @@ pub fn load_events(
     let mut keyed: Vec<(i64, u8, u64, MarketEvent)> = Vec::new();
     let mut trailer: Option<Trailer> = None;
     for rec in records {
-        let (line, f) = match rec {
-            Ok(r) => r,
-            Err(e) => {
-                quarantine(
-                    &mut report,
-                    &mut qlog,
-                    opts.budget,
-                    line_of(&e),
-                    FaultClass::Malformed,
-                    e.to_string(),
-                )?;
-                continue;
+        let parsed = match rec {
+            Ok((line, f)) => {
+                parse_event(&f, line, entities).map_err(|(fault, message)| (line, fault, message))
             }
+            Err(e) => Err((line_of(&e), FaultClass::Malformed, e.to_string())),
         };
-        match parse_event(&f, line, entities) {
+        match parsed {
             Ok(Parsed::Event(ev)) => {
                 let at = ev.at(entities).as_secs();
                 keyed.push((at, ev.kind_rank(), ev.seq(), ev));
             }
             Ok(Parsed::Trailer(t)) => trailer = Some(t),
-            Err((fault, message)) => {
-                quarantine(&mut report, &mut qlog, opts.budget, line, fault, message)?;
+            Err((line, fault, message)) => {
+                quarantine(&mut report, &mut qlog, opts.budget, line, fault, message)
+                    .map_err(|error| EventStreamError::Failed { error, report: report.clone() })?;
             }
         }
     }
@@ -543,7 +537,7 @@ fn parse_event(
                 CoreError::Csv { message, .. } => (FaultClass::Numeric, message),
                 other => (FaultClass::Numeric, other.to_string()),
             })?;
-            validate_completed(&row, entities)?;
+            check_instance(&row, entities.batches.len(), entities.workers.len())?;
             Ok(Parsed::Event(MarketEvent::Completed { seq, row }))
         }
         "T" => {
@@ -555,66 +549,6 @@ fn parse_event(
         }
         other => Err((FaultClass::Numeric, format!("bad event kind `{other}`"))),
     }
-}
-
-fn validate_completed(row: &TaskInstance, entities: &Dataset) -> Result<(), (FaultClass, String)> {
-    if row.batch.index() >= entities.batches.len() {
-        return Err((FaultClass::Dangling, format!("batch {} out of range", row.batch)));
-    }
-    if row.worker.index() >= entities.workers.len() {
-        return Err((FaultClass::Dangling, format!("worker {} out of range", row.worker)));
-    }
-    civil(row.start)?;
-    civil(row.end)?;
-    if row.end < row.start {
-        return Err((FaultClass::Semantic, "instance ends before it starts".into()));
-    }
-    if row.trust.is_nan() || !(0.0..=1.0).contains(&row.trust) {
-        return Err((FaultClass::Semantic, format!("trust {} outside [0, 1]", row.trust)));
-    }
-    Ok(())
-}
-
-/// `t` when it lies in the civil range ingest accepts
-/// ([`Timestamp::is_civil`]); a `Semantic` fault otherwise.
-fn civil(t: Timestamp) -> Result<Timestamp, (FaultClass, String)> {
-    if t.is_civil() {
-        Ok(t)
-    } else {
-        Err((FaultClass::Semantic, crate::loader::outside_civil_range(t)))
-    }
-}
-
-fn line_of(e: &CoreError) -> usize {
-    match e {
-        CoreError::Csv { line, .. } => *line,
-        _ => 0,
-    }
-}
-
-fn quarantine(
-    report: &mut TableReport,
-    qlog: &mut Vec<QuarantinedRow>,
-    budget: ErrorBudget,
-    line: usize,
-    fault: FaultClass,
-    message: String,
-) -> Result<(), EventStreamError> {
-    report.quarantined += 1;
-    if qlog.len() < QUARANTINE_DETAIL_CAP {
-        qlog.push(QuarantinedRow { table: EVENTS_TABLE, line, fault, message });
-    }
-    if report.quarantined > budget.max_quarantined_per_table {
-        return Err(EventStreamError::Failed {
-            error: CoreError::BudgetExceeded {
-                table: EVENTS_TABLE,
-                quarantined: report.quarantined,
-                budget: budget.max_quarantined_per_table,
-            },
-            report: report.clone(),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

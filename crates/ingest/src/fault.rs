@@ -319,7 +319,8 @@ impl<R: Read> Read for ChaosReader<R> {
         }
         let n = buf.len().min(self.out.len());
         for slot in buf.iter_mut().take(n) {
-            *slot = self.out.pop_front().expect("length checked");
+            let Some(byte) = self.out.pop_front() else { break };
+            *slot = byte;
         }
         Ok(n)
     }

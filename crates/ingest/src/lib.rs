@@ -1,7 +1,8 @@
 //! # crowd-ingest
 //!
-//! Streaming, fault-tolerant loader for the on-disk dataset — the
-//! untrusted-input counterpart of `crowd_core::csv::import_dir`.
+//! Streaming, fault-tolerant loader for the on-disk dataset — the one way
+//! an exported directory is read back ([`ingest_dir`]; a strict load is
+//! [`ErrorBudget::strict()`](crowd_core::ErrorBudget::strict)).
 //!
 //! The paper's raw marketplace logs (27M instances, 2012–2016) had to be
 //! cleaned before analysis; real crowd platforms routinely deliver
@@ -31,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod events;
 pub mod fault;

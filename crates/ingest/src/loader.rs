@@ -234,31 +234,32 @@ fn check_header(records: &mut LossyRecords<'_>, table: Table) -> Result<(), Core
     }
 }
 
-fn line_of(e: &CoreError) -> usize {
+/// The line a record-level parse error points at (0 when it has none).
+pub(crate) fn line_of(e: &CoreError) -> usize {
     match e {
         CoreError::Csv { line, .. } => *line,
         _ => 0,
     }
 }
 
-/// Records one quarantined row; fails the load when the table's budget is
-/// exhausted. Detail entries are capped, counts stay exact.
-fn quarantine(
+/// Records one quarantined record of `tr`'s table (a dataset table or the
+/// event stream); fails the load once the table's budget is exhausted.
+/// Detail entries are capped per table, counts stay exact.
+pub(crate) fn quarantine(
     tr: &mut TableReport,
     qlog: &mut Vec<QuarantinedRow>,
     budget: ErrorBudget,
-    table: Table,
     line: usize,
     fault: FaultClass,
     message: String,
 ) -> Result<(), CoreError> {
     tr.quarantined += 1;
-    if qlog.iter().filter(|q| q.table == table.name()).count() < QUARANTINE_DETAIL_CAP {
-        qlog.push(QuarantinedRow { table: table.name(), line, fault, message });
+    if qlog.iter().filter(|q| q.table == tr.table).count() < QUARANTINE_DETAIL_CAP {
+        qlog.push(QuarantinedRow { table: tr.table, line, fault, message });
     }
     if tr.quarantined > budget.max_quarantined_per_table {
         return Err(CoreError::BudgetExceeded {
-            table: table.name(),
+            table: tr.table,
             quarantined: tr.quarantined,
             budget: budget.max_quarantined_per_table,
         });
@@ -281,33 +282,17 @@ fn load_entities(
         let (line, fields) = match item {
             Ok(x) => x,
             Err(e) => {
-                quarantine(
-                    tr,
-                    qlog,
-                    budget,
-                    table,
-                    line_of(&e),
-                    FaultClass::Malformed,
-                    e.to_string(),
-                )?;
+                quarantine(tr, qlog, budget, line_of(&e), FaultClass::Malformed, e.to_string())?;
                 continue;
             }
         };
         if fields.len() == 1 && fields[0].is_empty() {
-            quarantine(
-                tr,
-                qlog,
-                budget,
-                table,
-                line,
-                FaultClass::Malformed,
-                "blank record".into(),
-            )?;
+            quarantine(tr, qlog, budget, line, FaultClass::Malformed, "blank record".into())?;
             continue;
         }
         if fields.len() != table.arity() {
             let msg = format!("expected {} fields, got {}", table.arity(), fields.len());
-            quarantine(tr, qlog, budget, table, line, FaultClass::Arity, msg)?;
+            quarantine(tr, qlog, budget, line, FaultClass::Arity, msg)?;
             continue;
         }
         // Parse, reference-check, and (on acceptance) serialize the
@@ -396,61 +381,78 @@ fn load_entities(
                 digest.update(&rec);
                 tr.accepted += 1;
             }
-            Some((fault, msg)) => quarantine(tr, qlog, budget, table, line, fault, msg)?,
+            Some((fault, msg)) => quarantine(tr, qlog, budget, line, fault, msg)?,
         }
     }
     Ok(digest.finish())
 }
 
 type RawRecord = crowd_core::Result<(usize, Vec<String>)>;
-type ParsedRow = Result<(usize, TaskInstance), (usize, FaultClass, String)>;
+type ParsedRow = Result<TaskInstance, (usize, FaultClass, String)>;
 
-fn parse_one(item: &crowd_core::Result<(usize, Vec<String>)>) -> ParsedRow {
-    match item {
-        Ok((line, fields)) => {
-            if fields.len() == 1 && fields[0].is_empty() {
-                return Err((*line, FaultClass::Malformed, "blank record".into()));
-            }
-            if fields.len() != Table::Instances.arity() {
-                let msg =
-                    format!("expected {} fields, got {}", Table::Instances.arity(), fields.len());
-                return Err((*line, FaultClass::Arity, msg));
-            }
-            csv::parse_instance_row(fields, *line)
-                .map(|i| (*line, i))
-                .map_err(|e| (*line, FaultClass::Numeric, e.to_string()))
-        }
-        Err(e) => Err((line_of(e), FaultClass::Malformed, e.to_string())),
+fn parse_one(item: &RawRecord, counts: &EntityCounts) -> ParsedRow {
+    let (line, fields) = match item {
+        Ok((line, fields)) => (*line, fields),
+        Err(e) => return Err((line_of(e), FaultClass::Malformed, e.to_string())),
+    };
+    if fields.len() == 1 && fields[0].is_empty() {
+        return Err((line, FaultClass::Malformed, "blank record".into()));
     }
+    if fields.len() != Table::Instances.arity() {
+        let msg = format!("expected {} fields, got {}", Table::Instances.arity(), fields.len());
+        return Err((line, FaultClass::Arity, msg));
+    }
+    let inst = csv::parse_instance_row(fields, line)
+        .map_err(|e| (line, FaultClass::Numeric, e.to_string()))?;
+    check_instance(&inst, counts.batches, counts.workers)
+        .map_err(|(fault, msg)| (line, fault, msg))?;
+    Ok(inst)
 }
 
-fn validate_instance(i: &TaskInstance, counts: &EntityCounts) -> Option<(FaultClass, String)> {
-    if i.batch.index() >= counts.batches {
-        return Some((
+/// The one rule for accepting a parsed instance row, given how many
+/// batches and workers exist: both ids in range, start and end civil, end
+/// not before start, trust in `[0, 1]`, checked in that order. The table
+/// loader and the event loader (and so WAL replay) both apply it.
+pub(crate) fn check_instance(
+    i: &TaskInstance,
+    batches: usize,
+    workers: usize,
+) -> Result<(), (FaultClass, String)> {
+    if i.batch.index() >= batches {
+        return Err((
             FaultClass::Dangling,
-            format!("batch {} out of range ({} loaded)", i.batch.raw(), counts.batches),
+            format!("batch {} out of range ({batches} loaded)", i.batch.raw()),
         ));
     }
-    if i.worker.index() >= counts.workers {
-        return Some((
+    if i.worker.index() >= workers {
+        return Err((
             FaultClass::Dangling,
-            format!("worker {} out of range ({} loaded)", i.worker.raw(), counts.workers),
+            format!("worker {} out of range ({workers} loaded)", i.worker.raw()),
         ));
     }
-    if let Some(t) = [i.start, i.end].into_iter().find(|t| !t.is_civil()) {
-        return Some((FaultClass::Semantic, outside_civil_range(t)));
-    }
-    if i.end.as_secs() < i.start.as_secs() {
-        return Some((FaultClass::Semantic, "ends before it starts".into()));
+    civil(i.start)?;
+    civil(i.end)?;
+    if i.end < i.start {
+        return Err((FaultClass::Semantic, "ends before it starts".into()));
     }
     if i.trust.is_nan() || !(0.0..=1.0).contains(&i.trust) {
-        return Some((FaultClass::Semantic, format!("trust {} outside [0, 1]", i.trust)));
+        return Err((FaultClass::Semantic, format!("trust {} outside [0, 1]", i.trust)));
     }
-    None
+    Ok(())
+}
+
+/// `t` when it lies in the civil range ingest accepts
+/// ([`Timestamp::is_civil`]); a `Semantic` fault otherwise.
+pub(crate) fn civil(t: Timestamp) -> Result<Timestamp, (FaultClass, String)> {
+    if t.is_civil() {
+        Ok(t)
+    } else {
+        Err((FaultClass::Semantic, outside_civil_range(t)))
+    }
 }
 
 /// The quarantine message for a timestamp outside [`Timestamp::is_civil`].
-pub(crate) fn outside_civil_range(t: Timestamp) -> String {
+fn outside_civil_range(t: Timestamp) -> String {
     format!("timestamp {} outside 1970-01-01..=9999-12-31", t.as_secs())
 }
 
@@ -494,23 +496,22 @@ fn load_instances(
     qlog: &mut Vec<QuarantinedRow>,
     tr: &mut TableReport,
 ) -> Result<u64, CoreError> {
-    let table = Table::Instances;
-    // Record framing is inherently serial (quoting); field decode is not.
-    // Fixed-size chunks + order-preserving parallel map keep the result
-    // position-determined, hence identical at 1 and N threads.
+    // Record framing is inherently serial (quoting); field decode and the
+    // row rule are not. Fixed-size chunks + order-preserving parallel map
+    // keep the result position-determined, hence identical at 1 and N
+    // threads.
     let recs: Vec<RawRecord> = records.collect();
     let chunks: Vec<&[RawRecord]> = recs.chunks(CHUNK).collect();
-    let parsed: Vec<Vec<ParsedRow>> =
-        chunks.par_iter().map(|chunk| chunk.iter().map(parse_one).collect()).collect();
+    let parsed: Vec<Vec<ParsedRow>> = chunks
+        .par_iter()
+        .map(|chunk| chunk.iter().map(|rec| parse_one(rec, counts)).collect())
+        .collect();
 
     let mut accepted: Vec<TaskInstance> = Vec::with_capacity(recs.len());
     for row in parsed.into_iter().flatten() {
         match row {
-            Ok((line, inst)) => match validate_instance(&inst, counts) {
-                Some((fault, msg)) => quarantine(tr, qlog, budget, table, line, fault, msg)?,
-                None => accepted.push(inst),
-            },
-            Err((line, fault, msg)) => quarantine(tr, qlog, budget, table, line, fault, msg)?,
+            Ok(inst) => accepted.push(inst),
+            Err((line, fault, msg)) => quarantine(tr, qlog, budget, line, fault, msg)?,
         }
     }
 
@@ -525,7 +526,7 @@ fn load_instances(
     accepted.dedup();
     tr.deduped = (before - accepted.len()) as u64;
 
-    let mut digest = TableDigest::new(table);
+    let mut digest = TableDigest::new(Table::Instances);
     let mut rec = String::new();
     b.reserve_instances(accepted.len());
     for inst in accepted {

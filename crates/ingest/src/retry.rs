@@ -7,7 +7,7 @@
 //! whole retry suite runs in zero wall-clock time.
 
 use std::io::{self, Read};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crowd_core::error::CoreError;
@@ -42,7 +42,7 @@ impl ManualClock {
 
     /// Every sleep requested so far, in order.
     pub fn slept(&self) -> Vec<Duration> {
-        self.slept.lock().expect("clock lock").clone()
+        self.slept.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Total virtual time slept.
@@ -53,7 +53,7 @@ impl ManualClock {
 
 impl Clock for ManualClock {
     fn sleep(&self, d: Duration) {
-        self.slept.lock().expect("clock lock").push(d);
+        self.slept.lock().unwrap_or_else(PoisonError::into_inner).push(d);
     }
 }
 

@@ -22,9 +22,11 @@
 //! (one record per line, same grammar as `events.csv`); the checksum
 //! covers the header fields *and* the payload, so a bit flip anywhere in
 //! a record is detected. `seq_base` is the stream-wide event ordinal of
-//! the batch's first event — replay verifies the ordinals chain without
+//! the record's first event — replay verifies the ordinals chain without
 //! gaps, and a restore skips records a checkpoint already covers (slicing
-//! the one batch that straddles the checkpoint boundary).
+//! the one record that straddles the checkpoint boundary). A batch whose
+//! payload exceeds the record bound is logged as consecutive records,
+//! each within it; the chain makes them replay as one run of events.
 //!
 //! Fsync is batched: `WalOptions::fsync_every` appends share one
 //! `sync_all`. A crash of the *process* loses nothing regardless — the
@@ -65,8 +67,9 @@ const SEG_HEADER_LEN: u64 = 32;
 /// Record header size: len + n_events + seq_base + checksum.
 const REC_HEADER_LEN: u64 = 24;
 
-/// Sanity bound on one record's payload. A length field claiming more
-/// than this is corruption, not a large batch.
+/// Bound on one record's payload. A length field claiming more than this
+/// is corruption, not a large batch: appends cut a larger batch into
+/// several records.
 const MAX_RECORD_LEN: u32 = 1 << 26;
 
 /// FNV-1a over bytes. Single-byte changes always change the hash: each
@@ -79,6 +82,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// The `W` bytes at `at` of a fixed-width header, for `from_le_bytes`.
+fn field<const N: usize, const W: usize>(header: &[u8; N], at: usize) -> [u8; W] {
+    std::array::from_fn(|i| header[at + i])
 }
 
 fn record_checksum(len: u32, n_events: u32, seq_base: u64, payload: &[u8]) -> u64 {
@@ -315,7 +323,8 @@ impl WalWriter {
         self.stats
     }
 
-    fn rotate(&mut self) -> Result<(), WalError> {
+    /// Closes out the active segment and opens the next, returning it.
+    fn rotate(&mut self) -> Result<&mut ActiveSegment, WalError> {
         // Close out the old segment durably before abandoning it: closed
         // segments are never re-synced, so this is their last chance.
         self.sync()?;
@@ -330,30 +339,59 @@ impl WalWriter {
         active.file.write_all(&header).map_err(io_err(&active.path))?;
         self.stats.rotations += 1;
         self.stats.bytes_written += SEG_HEADER_LEN;
-        self.active = Some(active);
         kill_point("wal.rotate");
+        Ok(self.active.insert(active))
+    }
+
+    /// Appends one event batch. The batch is on disk (modulo fsync
+    /// batching) when this returns — callers apply it to live state only
+    /// afterwards. Empty batches are a no-op: heartbeat publishes carry
+    /// no state worth logging. A batch whose payload exceeds the record
+    /// bound is logged as several consecutive records; an event that
+    /// alone exceeds it is an error, and then nothing is written.
+    pub fn append(&mut self, events: &[MarketEvent]) -> Result<(), WalError> {
+        self.append_bounded(events, MAX_RECORD_LEN as usize)
+    }
+
+    /// [`append`](WalWriter::append) with the record bound as a parameter,
+    /// so tests can cut small batches.
+    fn append_bounded(&mut self, events: &[MarketEvent], bound: usize) -> Result<(), WalError> {
+        // Serialize the whole batch once, noting where each event ends,
+        // and refuse an event that cannot fit any record before a byte
+        // reaches the log.
+        let mut payload = String::with_capacity(64 * events.len());
+        let mut ends = Vec::with_capacity(events.len());
+        for (i, ev) in events.iter().enumerate() {
+            let start = payload.len();
+            ev.serialize(&mut payload);
+            let size = payload.len() - start;
+            if size > bound {
+                let seq = self.next_seq + i as u64;
+                return Err(self.unloggable(format!(
+                    "event {seq} serializes to {size} bytes, over the WAL record bound of {bound}"
+                )));
+            }
+            ends.push(payload.len());
+        }
+        // Cut the payload into consecutive records of at most `bound`
+        // bytes, each holding whole events.
+        let (mut first, mut from) = (0, 0);
+        while first < ends.len() {
+            let n = ends[first..].partition_point(|&end| end - from <= bound);
+            let to = ends[first + n - 1];
+            self.append_record(&payload.as_bytes()[from..to], n)?;
+            (first, from) = (first + n, to);
+        }
         Ok(())
     }
 
-    /// Appends one event batch. The record is on disk (modulo fsync
-    /// batching) when this returns — callers apply the batch to live
-    /// state only afterwards. Empty batches are a no-op: heartbeat
-    /// publishes carry no state worth logging.
-    pub fn append(&mut self, events: &[MarketEvent]) -> Result<(), WalError> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        if self.active.as_ref().is_none_or(|a| a.bytes >= self.opts.segment_bytes) {
-            self.rotate()?;
-        }
-        let mut payload = String::with_capacity(64 * events.len());
-        for ev in events {
-            ev.serialize(&mut payload);
-        }
-        let payload = payload.as_bytes();
-        let len = u32::try_from(payload.len()).expect("batch payload exceeds u32");
-        assert!(len <= MAX_RECORD_LEN, "batch payload exceeds the WAL record bound");
-        let n_events = u32::try_from(events.len()).expect("batch exceeds u32 events");
+    /// Writes one record of `n_events` events whose serialized form is
+    /// `payload`, at most the record bound long.
+    fn append_record(&mut self, payload: &[u8], n_events: usize) -> Result<(), WalError> {
+        let (Ok(len), Ok(n_events)) = (u32::try_from(payload.len()), u32::try_from(n_events))
+        else {
+            return Err(self.unloggable("record length over u32".into()));
+        };
         let seq_base = self.next_seq;
         let sum = record_checksum(len, n_events, seq_base, payload);
         let mut header = [0u8; REC_HEADER_LEN as usize];
@@ -362,7 +400,10 @@ impl WalWriter {
         header[8..16].copy_from_slice(&seq_base.to_le_bytes());
         header[16..24].copy_from_slice(&sum.to_le_bytes());
 
-        let active = self.active.as_mut().expect("rotate() installed a segment");
+        let active = match &mut self.active {
+            Some(active) if active.bytes < self.opts.segment_bytes => active,
+            _ => self.rotate()?,
+        };
         active.file.write_all(&header).map_err(io_err(&active.path))?;
         // A crash here leaves a header with no payload: the torn-tail
         // shape recovery truncates away.
@@ -371,7 +412,7 @@ impl WalWriter {
         active.bytes += REC_HEADER_LEN + u64::from(len);
         self.stats.appends += 1;
         self.stats.bytes_written += REC_HEADER_LEN + u64::from(len);
-        self.next_seq += events.len() as u64;
+        self.next_seq += u64::from(n_events);
         self.unsynced += 1;
         if self.unsynced >= self.opts.fsync_every {
             self.sync()?;
@@ -380,12 +421,19 @@ impl WalWriter {
         Ok(())
     }
 
+    /// The typed error for input the record format cannot hold.
+    fn unloggable(&self, message: String) -> WalError {
+        WalError {
+            path: self.dir.clone(),
+            error: io::Error::new(io::ErrorKind::InvalidInput, message),
+        }
+    }
+
     /// Flushes any unsynced appends to stable storage.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        if self.unsynced == 0 {
+        let Some(active) = self.active.as_mut().filter(|_| self.unsynced > 0) else {
             return Ok(());
-        }
-        let active = self.active.as_mut().expect("unsynced implies an active segment");
+        };
         active.file.sync_all().map_err(io_err(&active.path))?;
         self.stats.fsyncs += 1;
         self.unsynced = 0;
@@ -493,7 +541,7 @@ pub fn replay(
         let bytes = fs::read(path).map_err(io_err(path))?;
         out.segments += 1;
         // --- segment header ------------------------------------------------
-        if (bytes.len() as u64) < SEG_HEADER_LEN {
+        let Some(header) = bytes.first_chunk::<{ SEG_HEADER_LEN as usize }>() else {
             out.fault = Some(if is_final {
                 // A crash during segment creation tears the header; the
                 // whole file is the tail to truncate.
@@ -510,20 +558,19 @@ pub fn replay(
                 }
             });
             break 'segments;
-        }
+        };
         let corrupt = |offset: u64, kind: WalCorruptKind, message: String| WalFault::Corrupt {
             segment: path.clone(),
             offset,
             kind,
             message,
         };
-        if bytes[..8] != WAL_MAGIC {
+        if header[..8] != WAL_MAGIC {
             out.fault = Some(corrupt(0, WalCorruptKind::Magic, "segment magic".into()));
             break 'segments;
         }
-        let u64_at =
-            |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("bounds"));
-        if fnv1a(&bytes[..24]) != u64_at(24) {
+        let u64_at = |off: usize| u64::from_le_bytes(field(header, off));
+        if fnv1a(&header[..24]) != u64_at(24) {
             out.fault = Some(corrupt(0, WalCorruptKind::HeaderChecksum, "segment header".into()));
             break 'segments;
         }
@@ -564,7 +611,8 @@ pub fn replay(
         let file_len = bytes.len() as u64;
         while off < file_len {
             let rem = file_len - off;
-            if rem < REC_HEADER_LEN {
+            let o = off as usize;
+            let Some(head) = bytes[o..].first_chunk::<{ REC_HEADER_LEN as usize }>() else {
                 out.fault = Some(if is_final {
                     WalFault::TornTail { segment: path.clone(), offset: off }
                 } else {
@@ -575,12 +623,11 @@ pub fn replay(
                     )
                 });
                 break 'segments;
-            }
-            let o = off as usize;
-            let len = u32::from_le_bytes(bytes[o..o + 4].try_into().expect("bounds"));
-            let n_events = u32::from_le_bytes(bytes[o + 4..o + 8].try_into().expect("bounds"));
-            let seq_base = u64::from_le_bytes(bytes[o + 8..o + 16].try_into().expect("bounds"));
-            let sum = u64::from_le_bytes(bytes[o + 16..o + 24].try_into().expect("bounds"));
+            };
+            let len = u32::from_le_bytes(field(head, 0));
+            let n_events = u32::from_le_bytes(field(head, 4));
+            let seq_base = u64::from_le_bytes(field(head, 8));
+            let sum = u64::from_le_bytes(field(head, 16));
             if len > MAX_RECORD_LEN || n_events == 0 {
                 out.fault = Some(corrupt(
                     off,
@@ -892,6 +939,42 @@ mod tests {
         w.append(&[]).unwrap();
         assert_eq!(w.stats().appends, 0, "empty batches are not logged");
         assert!(segment_files(&dir, 0xabc).unwrap().is_empty(), "no segment until a real append");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_over_the_record_bound_is_cut_into_records_that_replay_in_order() {
+        let ds = dataset();
+        let events = events_from_dataset(&ds);
+        let dir = tmp("split");
+        let mut w = WalWriter::open(&dir, 0xabc, WalOptions::default(), 0).unwrap();
+        // 100 bytes hold a few events, so one batch becomes many records.
+        w.append_bounded(&events, 100).unwrap();
+        w.sync().unwrap();
+        let records = w.stats().appends;
+        assert!(records > 1, "the batch must have been cut");
+        assert_eq!(w.next_seq(), events.len() as u64);
+
+        let replayed = replay(&dir, 0xabc, 0, &ds).unwrap();
+        assert!(replayed.fault.is_none(), "cut batch: {:?}", replayed.fault);
+        assert_eq!(replayed.records, records);
+        assert_eq!(replayed.next_seq, events.len() as u64);
+        assert_eq!(canon_all(&replayed.events), canon_all(&events));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_event_over_the_record_bound_is_an_error_and_logs_nothing() {
+        let ds = dataset();
+        let events = events_from_dataset(&ds);
+        let dir = tmp("oversized");
+        let mut w = WalWriter::open(&dir, 0xabc, WalOptions::default(), 0).unwrap();
+        // `P` records fit in 8 bytes; the first `U` record does not.
+        let err = w.append_bounded(&events, 8).unwrap_err();
+        assert_eq!(err.error.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(w.stats().appends, 0);
+        assert_eq!(w.next_seq(), 0);
+        assert!(segment_files(&dir, 0xabc).unwrap().is_empty(), "no byte reached the log");
         fs::remove_dir_all(&dir).ok();
     }
 

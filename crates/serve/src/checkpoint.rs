@@ -54,14 +54,8 @@ pub struct CheckpointProgress {
 pub struct CheckpointState {
     /// Identifies the event stream this checkpoint belongs to.
     pub stream_id: u64,
-    /// Events applied when the checkpoint was taken.
-    pub events_applied: u64,
-    /// Published service version at the checkpoint.
-    pub version: u64,
-    /// `Posted` events seen.
-    pub posted: u64,
-    /// `PickedUp` events seen.
-    pub picked_up: u64,
+    /// The counters the checkpoint was written with.
+    pub progress: CheckpointProgress,
     /// Entity tables plus all instance rows applied so far, in applied
     /// order.
     pub dataset: Dataset,
@@ -76,34 +70,18 @@ pub struct CheckpointFault {
     pub reason: String,
 }
 
-/// Typed failure of a checkpoint operation.
+/// Typed failure of a checkpoint write. Reads never fail: a restore steps
+/// over every file it cannot use and reports it as a [`CheckpointFault`].
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem error reading or writing the checkpoint directory.
+    /// Filesystem error writing the checkpoint directory.
     Io(std::io::Error),
-    /// No checkpoint file could be restored; carries one fault per file
-    /// tried (empty when the directory held no checkpoints at all).
-    NoValidCheckpoint {
-        /// The rejected candidates, newest first.
-        faults: Vec<CheckpointFault>,
-    },
 }
 
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint io: {e}"),
-            CheckpointError::NoValidCheckpoint { faults } if faults.is_empty() => {
-                write!(f, "no checkpoint files present")
-            }
-            CheckpointError::NoValidCheckpoint { faults } => {
-                write!(
-                    f,
-                    "no valid checkpoint among {} candidates (newest: {})",
-                    faults.len(),
-                    faults[0].reason
-                )
-            }
         }
     }
 }
@@ -255,18 +233,19 @@ impl CheckpointStore {
         decode_checkpoint(&bytes, self.stream_id)
     }
 
-    /// Restores the newest valid checkpoint, stepping over torn or
-    /// corrupt files. Returns the state plus one [`CheckpointFault`] per
-    /// skipped file (newest first).
-    pub fn load_latest(&self) -> Result<(CheckpointState, Vec<CheckpointFault>), CheckpointError> {
+    /// The newest valid checkpoint, if any, stepping over torn or corrupt
+    /// files. Returns it with one [`CheckpointFault`] per skipped file
+    /// (newest first); with no valid file the faults list every
+    /// candidate, and are empty when there were none.
+    pub fn load_latest(&self) -> (Option<CheckpointState>, Vec<CheckpointFault>) {
         let mut faults = Vec::new();
         for path in self.list().into_iter().rev() {
             match self.load(&path) {
-                Ok(state) => return Ok((state, faults)),
+                Ok(state) => return (Some(state), faults),
                 Err(reason) => faults.push(CheckpointFault { path, reason }),
             }
         }
-        Err(CheckpointError::NoValidCheckpoint { faults })
+        (None, faults)
     }
 }
 
@@ -285,33 +264,29 @@ fn encode_header(stream_id: u64, progress: CheckpointProgress) -> Vec<u8> {
 }
 
 fn decode_checkpoint(bytes: &[u8], stream_id: u64) -> Result<CheckpointState, String> {
-    if bytes.len() < HEADER_LEN {
+    let Some((header, payload)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Err("truncated header".into());
-    }
-    if bytes[..8] != CKPT_MAGIC {
+    };
+    if header[..8] != CKPT_MAGIC {
         return Err("bad checkpoint magic".into());
     }
-    let u64_at = |i: usize| {
-        let off = 8 + i * 8;
-        u64::from_le_bytes(bytes[off..off + 8].try_into().expect("fixed-width header"))
-    };
-    let want = checksum(&bytes[..HEADER_LEN - 8]);
-    if u64_at(5) != want {
+    // After the magic: stream id, the four progress counters, checksum.
+    let word = |i: usize| u64::from_le_bytes(std::array::from_fn(|b| header[8 + 8 * i + b]));
+    if word(5) != checksum(&header[..HEADER_LEN - 8]) {
         return Err("header checksum mismatch".into());
     }
-    if u64_at(0) != stream_id {
-        return Err(format!("stream id {:#x}, expected {stream_id:#x}", u64_at(0)));
+    if word(0) != stream_id {
+        return Err(format!("stream id {:#x}, expected {stream_id:#x}", word(0)));
     }
-    let snapshot = decode(&bytes[HEADER_LEN..], stream_id)
-        .map_err(|e: SnapshotError| format!("payload: {e}"))?;
-    Ok(CheckpointState {
-        stream_id,
-        events_applied: u64_at(1),
-        version: u64_at(2),
-        posted: u64_at(3),
-        picked_up: u64_at(4),
-        dataset: snapshot.dataset,
-    })
+    let snapshot =
+        decode(payload, stream_id).map_err(|e: SnapshotError| format!("payload: {e}"))?;
+    let progress = CheckpointProgress {
+        events_applied: word(1),
+        version: word(2),
+        posted: word(3),
+        picked_up: word(4),
+    };
+    Ok(CheckpointState { stream_id, progress, dataset: snapshot.dataset })
 }
 
 #[cfg(test)]
@@ -345,10 +320,11 @@ mod tests {
         let store = CheckpointStore::new(&dir, 0xfeed);
         write(&store, state(10));
         write(&store, state(20));
-        let (got, faults) = store.load_latest().unwrap();
+        let (got, faults) = store.load_latest();
+        let got = got.expect("a valid checkpoint");
         assert!(faults.is_empty());
-        assert_eq!(got.events_applied, 20);
-        assert_eq!(got.posted, 1);
+        assert_eq!(got.progress.events_applied, 20);
+        assert_eq!(got.progress.posted, 1);
         assert_eq!(got.dataset.instances.len(), 1);
         fs::remove_dir_all(&dir).ok();
     }
@@ -362,25 +338,24 @@ mod tests {
         // Tear the newest file mid-payload.
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-        let (got, faults) = store.load_latest().unwrap();
-        assert_eq!(got.events_applied, 10);
+        let (got, faults) = store.load_latest();
+        assert_eq!(got.expect("the older checkpoint").progress.events_applied, 10);
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].path, newest);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn all_torn_is_a_typed_error_listing_every_candidate() {
+    fn all_torn_restores_nothing_and_lists_every_candidate() {
         let dir = std::env::temp_dir().join(format!("crowd-serve-dead-{}", std::process::id()));
         let store = CheckpointStore::new(&dir, 0xfeed);
         for ev in [10, 20] {
             let p = write(&store, state(ev));
             fs::write(&p, b"CSRVCKP1 garbage").unwrap();
         }
-        match store.load_latest() {
-            Err(CheckpointError::NoValidCheckpoint { faults }) => assert_eq!(faults.len(), 2),
-            other => panic!("expected NoValidCheckpoint, got {other:?}"),
-        }
+        let (got, faults) = store.load_latest();
+        assert!(got.is_none(), "no candidate restores");
+        assert_eq!(faults.len(), 2);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -433,7 +408,9 @@ mod tests {
         let store = CheckpointStore::new(&dir, 0xfeed);
         write(&store, state(10));
         let other = CheckpointStore::new(&dir, 0xbeef);
-        assert!(matches!(other.load_latest(), Err(CheckpointError::NoValidCheckpoint { .. })));
+        let (got, faults) = other.load_latest();
+        assert!(got.is_none());
+        assert!(faults.is_empty(), "the other stream's files are not candidates");
         fs::remove_dir_all(&dir).ok();
     }
 }

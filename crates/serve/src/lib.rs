@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
 pub mod query;
@@ -45,5 +46,5 @@ pub use query::{Dashboard, SourceLoad, WeekThroughput};
 pub use queue::{Admission, ApplyQueue, QueueStats, ShedPolicy};
 pub use replay::{entities_only, EventFeed};
 pub use service::{
-    Gauges, IngestSummary, LiveService, RecoveryReport, ServeError, ServiceHandle, ServiceSnapshot,
+    Gauges, LiveService, RecoveryReport, ServeError, ServiceHandle, ServiceSnapshot,
 };

@@ -144,15 +144,19 @@ mod tests {
     use super::*;
     use crate::replay::EventFeed;
     use crate::service::LiveService;
-    use crowd_ingest::events::EventOptions;
+    use crowd_ingest::events::{load_events, EventOptions};
     use crowd_sim::SimConfig;
 
     #[test]
     fn dashboard_is_consistent_with_the_snapshot() {
         let feed = EventFeed::from_config(&SimConfig::tiny(61));
         let mut svc = LiveService::new(Arc::clone(&feed.entities));
-        svc.ingest_stream(&mut feed.to_csv().as_bytes(), &EventOptions::default(), 5000)
-            .expect("clean feed");
+        let log =
+            load_events(&mut feed.to_csv().as_bytes(), &feed.entities, &EventOptions::default())
+                .expect("clean feed");
+        for chunk in log.events.chunks(5000) {
+            svc.apply_events(chunk).expect("apply");
+        }
         let snap = svc.handle().snapshot();
         let dash = dashboard(&snap.view.fused, svc.entities());
 

@@ -15,13 +15,14 @@
 //! - [`ShedPolicy::DegradeStale`] — lossless, unbounded admission: the
 //!   queue grows past its cap and the served snapshot goes stale; the
 //!   writer catches up with coalesced applies ([`ApplyQueue::pop_all`])
-//!   and the lag is surfaced as a staleness gauge.
+//!   and the lag is read from [`ApplyQueue::pending`].
 //!
-//! All counters live in [`QueueStats`]; the serve binary folds them into
-//! the published [`Gauges`](crate::Gauges).
+//! The queue is the one owner of its counters: [`QueueStats`] and
+//! [`ApplyQueue::pending`]. The serve binary prints them from here; no
+//! other struct keeps a copy.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crowd_ingest::MarketEvent;
@@ -36,7 +37,7 @@ pub enum ShedPolicy {
     /// freshest-wins; shed events are never accepted).
     ShedOldest,
     /// Admit unboundedly and let the served snapshot go stale; the lag is
-    /// observable as a staleness gauge.
+    /// observable through [`ApplyQueue::pending`].
     DegradeStale,
 }
 
@@ -143,7 +144,7 @@ impl ApplyQueue {
     /// the other policies return immediately.
     pub fn push(&self, batch: Vec<MarketEvent>) -> Admission {
         let n = batch.len() as u64;
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.closed {
             return Admission::Closed;
         }
@@ -153,7 +154,7 @@ impl ApplyQueue {
                 if inner.queue.len() >= self.cap {
                     inner.stats.blocked_pushes += 1;
                     while inner.queue.len() >= self.cap && !inner.closed {
-                        inner = self.not_full.wait(inner).expect("queue lock poisoned");
+                        inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
                     }
                     if inner.closed {
                         return Admission::Closed;
@@ -162,11 +163,12 @@ impl ApplyQueue {
             }
             ShedPolicy::ShedOldest => {
                 if inner.queue.len() >= self.cap {
-                    let old = inner.queue.pop_front().expect("full queue has a front");
-                    inner.pending_events -= old.len() as u64;
-                    inner.stats.shed_batches += 1;
-                    inner.stats.shed_events += old.len() as u64;
-                    dropped = Some(old.len() as u64);
+                    if let Some(old) = inner.queue.pop_front() {
+                        inner.pending_events -= old.len() as u64;
+                        inner.stats.shed_batches += 1;
+                        inner.stats.shed_events += old.len() as u64;
+                        dropped = Some(old.len() as u64);
+                    }
                 }
             }
             ShedPolicy::DegradeStale => {}
@@ -188,7 +190,7 @@ impl ApplyQueue {
     /// arrive. `None` means timeout, or closed-and-drained.
     pub fn pop(&self, timeout: Duration) -> Option<Vec<MarketEvent>> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(batch) = inner.queue.pop_front() {
                 inner.pending_events -= batch.len() as u64;
@@ -203,8 +205,10 @@ impl ApplyQueue {
             if now >= deadline {
                 return None;
             }
-            let (guard, timed_out) =
-                self.not_empty.wait_timeout(inner, deadline - now).expect("queue lock poisoned");
+            let (guard, timed_out) = self
+                .not_empty
+                .wait_timeout(inner, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
             if timed_out.timed_out() && inner.queue.is_empty() {
                 return None;
@@ -220,7 +224,7 @@ impl ApplyQueue {
         let first = self.pop(timeout)?;
         let mut events = first;
         let mut batches = 1u64;
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         while let Some(batch) = inner.queue.pop_front() {
             inner.pending_events -= batch.len() as u64;
             events.extend(batch);
@@ -234,21 +238,21 @@ impl ApplyQueue {
     /// Batches and events currently queued (admitted, not yet applied) —
     /// the staleness reading under `DegradeStale`.
     pub fn pending(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("queue lock poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         (inner.queue.len() as u64, inner.pending_events)
     }
 
     /// Closes the queue: future pushes are refused, waiting producers and
     /// the consumer wake. Queued batches stay poppable (drain-then-exit).
     pub fn close(&self) {
-        self.inner.lock().expect("queue lock poisoned").closed = true;
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
 
     /// Counters so far.
     pub fn stats(&self) -> QueueStats {
-        self.inner.lock().expect("queue lock poisoned").stats
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).stats
     }
 }
 

@@ -22,16 +22,15 @@
 //! [`batch_study`]: LiveService::batch_study
 
 use std::fmt;
-use std::io::Read;
+use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use crowd_analytics::view::ViewSnapshot;
 use crowd_analytics::{FusedView, Study};
 use crowd_core::dataset::{Dataset, InstanceColumns};
-use crowd_core::provenance::TableReport;
-use crowd_ingest::events::{load_events, EventOptions, EventStreamError};
+use crowd_ingest::events::EventStreamError;
 use crowd_ingest::killpoint::kill_point;
 use crowd_ingest::wal::{replay as wal_replay, truncate_torn, WalOptions, WalWriter};
 use crowd_ingest::{MarketEvent, WalError, WalFault};
@@ -41,13 +40,14 @@ use crate::checkpoint::{
 };
 use crate::replay::entities_only;
 
-/// Monotone event counters plus durability/overload telemetry, published
-/// with every snapshot.
+/// Monotone event counters, published with every snapshot and kept in
+/// checkpoints.
 ///
-/// The WAL and overload counters describe *this process's run*: they
-/// restart at zero after a restore (the checkpoint header keeps only the
-/// event counters), which is the useful reading — "what has this
-/// incarnation appended/shed", not a lifetime total.
+/// These are the service's own counts. Each other live-path counter has
+/// one owner of its own: the WAL's in [`LiveService::wal_stats`], the
+/// admission queue's in [`ApplyQueue::stats`](crate::ApplyQueue::stats)
+/// and [`ApplyQueue::pending`](crate::ApplyQueue::pending), a recovery's
+/// in its [`RecoveryReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gauges {
     /// `Posted` events applied.
@@ -56,18 +56,6 @@ pub struct Gauges {
     pub picked_up: u64,
     /// `Completed` events applied (equals the view's row count).
     pub completed: u64,
-    /// WAL records appended by this process.
-    pub wal_appends: u64,
-    /// WAL fsyncs issued by this process.
-    pub wal_fsyncs: u64,
-    /// Batches dropped at admission (`ShedPolicy::ShedOldest`); shed
-    /// events were never accepted and are absent from every other gauge.
-    pub shed_batches: u64,
-    /// Events inside those dropped batches.
-    pub shed_events: u64,
-    /// Events admitted but not yet applied when this snapshot published —
-    /// the staleness reading under `ShedPolicy::DegradeStale`.
-    pub lag_events: u64,
 }
 
 /// One published, immutable service state.
@@ -96,8 +84,10 @@ struct Shared {
 impl Shared {
     fn publish(&self, snap: Arc<ServiceSnapshot>) {
         let version = snap.version;
-        *self.snap.write().expect("service lock poisoned") = snap;
-        *self.version.lock().expect("service lock poisoned") = version;
+        // Every write replaces a whole value, so a guard recovered from a
+        // panicked holder still sees a consistent one.
+        *self.snap.write().unwrap_or_else(PoisonError::into_inner) = snap;
+        *self.version.lock().unwrap_or_else(PoisonError::into_inner) = version;
         self.published.notify_all();
         kill_point("serve.publish");
     }
@@ -112,7 +102,7 @@ pub struct ServiceHandle {
 impl ServiceHandle {
     /// The latest fully published snapshot.
     pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
-        Arc::clone(&self.shared.snap.read().expect("service lock poisoned"))
+        Arc::clone(&self.shared.snap.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Blocks until a snapshot with `version` (or newer) publishes, then
@@ -125,7 +115,7 @@ impl ServiceHandle {
         timeout: Duration,
     ) -> Option<Arc<ServiceSnapshot>> {
         let deadline = Instant::now() + timeout;
-        let mut latest = self.shared.version.lock().expect("service lock poisoned");
+        let mut latest = self.shared.version.lock().unwrap_or_else(PoisonError::into_inner);
         while *latest < version {
             let now = Instant::now();
             if now >= deadline {
@@ -135,7 +125,7 @@ impl ServiceHandle {
                 .shared
                 .published
                 .wait_timeout(latest, deadline - now)
-                .expect("service lock poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             latest = guard;
         }
         drop(latest);
@@ -150,7 +140,8 @@ impl ServiceHandle {
 pub enum ServeError {
     /// The event stream failed to load.
     Stream(EventStreamError),
-    /// A checkpoint write or restore failed.
+    /// A checkpoint write failed, or a checkpoint was asked of a service
+    /// without a store.
     Checkpoint(CheckpointError),
     /// A WAL file operation failed.
     Wal(WalError),
@@ -190,23 +181,8 @@ impl From<WalError> for ServeError {
     }
 }
 
-/// Summary of one [`LiveService::ingest_stream`] run.
-#[derive(Debug, Clone)]
-pub struct IngestSummary {
-    /// Accept/repair/dedup/quarantine accounting from the event loader.
-    pub report: TableReport,
-    /// Delta batches applied.
-    pub batches: u64,
-    /// Events applied by this run.
-    pub events_applied: u64,
-    /// Service version after the run.
-    pub version: u64,
-    /// Transient-error retries the checkpoint store spent during this
-    /// run (0 when checkpoints are off).
-    pub checkpoint_retries: u64,
-}
-
-/// What a [`LiveService::restore_durable`] recovery found and did.
+/// What a [`LiveService::restore`] or [`LiveService::restore_durable`]
+/// recovery found and did.
 #[derive(Debug)]
 pub struct RecoveryReport {
     /// Events restored from the newest valid checkpoint (0 when recovery
@@ -214,9 +190,10 @@ pub struct RecoveryReport {
     pub checkpoint_events: u64,
     /// Checkpoint files stepped over as torn or corrupt, newest first.
     pub checkpoint_faults: Vec<CheckpointFault>,
-    /// Events replayed from the WAL tail past the checkpoint.
+    /// Events replayed from the WAL tail past the checkpoint (0 without a
+    /// WAL).
     pub wal_events_replayed: u64,
-    /// Valid WAL records scanned during replay.
+    /// Valid WAL records scanned during replay (0 without a WAL).
     pub wal_records: u64,
     /// Whether a torn WAL tail was truncated at its last valid record
     /// boundary (the expected artifact of a crash mid-append).
@@ -278,38 +255,47 @@ impl LiveService {
     }
 
     /// Restores from the newest valid checkpoint in `store`, stepping
-    /// over torn files. Returns the resumed service plus the faults
-    /// skipped; apply the event-stream tail from
+    /// over torn or corrupt files, or starts fresh over `entities` when
+    /// none restores. Either way `store` is attached at `every_events`.
+    /// The report lists every checkpoint file stepped over; its WAL
+    /// fields are 0. Apply the event-stream tail from
     /// [`events_applied`](LiveService::events_applied) onward to catch
     /// up.
     pub fn restore(
         store: CheckpointStore,
         every_events: u64,
-    ) -> Result<(LiveService, Vec<CheckpointFault>), ServeError> {
-        let (state, faults) = store.load_latest().map_err(ServeError::Checkpoint)?;
-        Ok((LiveService::from_state(state, store, every_events), faults))
+        entities: Arc<Dataset>,
+    ) -> (LiveService, RecoveryReport) {
+        let (state, checkpoint_faults) = store.load_latest();
+        let service = state
+            .map_or_else(|| LiveService::new(entities), LiveService::from_state)
+            .with_checkpoints(store, every_events);
+        let report = RecoveryReport {
+            checkpoint_events: service.events_applied,
+            checkpoint_faults,
+            wal_events_replayed: 0,
+            wal_records: 0,
+            torn_truncated: false,
+        };
+        (service, report)
     }
 
-    fn from_state(
-        mut state: CheckpointState,
-        store: CheckpointStore,
-        every_events: u64,
-    ) -> LiveService {
+    fn from_state(mut state: CheckpointState) -> LiveService {
         // The decoded rows move into the service; what remains of the
         // dataset is exactly its entity tables.
         let rows = std::mem::take(&mut state.dataset.instances);
         let entities = Arc::new(state.dataset);
         let mut view = FusedView::new(Arc::clone(&entities));
         view.apply(&rows);
+        let progress = state.progress;
         let gauges = Gauges {
-            posted: state.posted,
-            picked_up: state.picked_up,
+            posted: progress.posted,
+            picked_up: progress.picked_up,
             completed: rows.len() as u64,
-            ..Gauges::default()
         };
         let snap = ServiceSnapshot {
-            version: state.version,
-            events_applied: state.events_applied,
+            version: progress.version,
+            events_applied: progress.events_applied,
             gauges,
             view: view.snapshot(),
         };
@@ -318,10 +304,10 @@ impl LiveService {
             view,
             rows,
             gauges,
-            events_applied: state.events_applied,
-            version: state.version,
+            events_applied: progress.events_applied,
+            version: progress.version,
             shared: new_shared(snap),
-            checkpoints: Some((store, every_events)),
+            checkpoints: None,
             wal: None,
         }
     }
@@ -343,12 +329,12 @@ impl LiveService {
         Ok(self)
     }
 
-    /// Crash recovery with the WAL: loads the newest valid checkpoint
-    /// (fresh-starting over `entities` when none restores), replays the
-    /// WAL tail past it, truncates a torn tail at the last valid record
-    /// boundary, and re-attaches the log for new appends. Corrupt WAL
-    /// records (damage no crash produces) refuse with
-    /// [`ServeError::WalCorrupt`] instead of serving past them.
+    /// Crash recovery with the WAL: [`restore`](LiveService::restore),
+    /// then replays the WAL tail past the restored checkpoint, truncates a
+    /// torn tail at the last valid record boundary, and re-attaches the
+    /// log for new appends. Corrupt WAL records (damage no crash
+    /// produces) refuse with [`ServeError::WalCorrupt`] instead of serving
+    /// past them.
     pub fn restore_durable(
         store: CheckpointStore,
         every_events: u64,
@@ -358,22 +344,7 @@ impl LiveService {
     ) -> Result<(LiveService, RecoveryReport), ServeError> {
         let wal_dir = wal_dir.into();
         let stream_id = store.stream_id();
-        let (mut service, checkpoint_faults) = match store.load_latest() {
-            Ok((state, faults)) => (LiveService::from_state(state, store, every_events), faults),
-            Err(CheckpointError::NoValidCheckpoint { faults }) => {
-                let mut svc = LiveService::new(entities);
-                svc.checkpoints = Some((store, every_events));
-                (svc, faults)
-            }
-            Err(e) => return Err(ServeError::Checkpoint(e)),
-        };
-        let mut report = RecoveryReport {
-            checkpoint_events: service.events_applied,
-            checkpoint_faults,
-            wal_events_replayed: 0,
-            wal_records: 0,
-            torn_truncated: false,
-        };
+        let (mut service, mut report) = LiveService::restore(store, every_events, entities);
         let replayed = wal_replay(&wal_dir, stream_id, service.events_applied, &service.entities)?;
         match replayed.fault {
             Some(fault) if fault.is_torn_tail() => {
@@ -440,20 +411,6 @@ impl LiveService {
         Ok(())
     }
 
-    /// Records batches dropped at admission (the apply loop calls this
-    /// when its queue sheds); surfaced in the next published snapshot's
-    /// gauges.
-    pub fn note_shed(&mut self, batches: u64, events: u64) {
-        self.gauges.shed_batches += batches;
-        self.gauges.shed_events += events;
-    }
-
-    /// Sets the staleness gauge: events admitted but not yet applied at
-    /// the moment the *next* snapshot publishes.
-    pub fn set_lag(&mut self, events: u64) {
-        self.gauges.lag_events = events;
-    }
-
     /// Applies one batch of events (in the given order) and publishes the
     /// resulting snapshot. Empty batches publish too — a heartbeat
     /// version bump with unchanged aggregates. With a WAL attached the
@@ -466,9 +423,6 @@ impl LiveService {
     ) -> Result<Arc<ServiceSnapshot>, ServeError> {
         if let Some(wal) = &mut self.wal {
             wal.append(events)?;
-            let stats = wal.stats();
-            self.gauges.wal_appends = stats.appends;
-            self.gauges.wal_fsyncs = stats.fsyncs;
         }
         let before = self.events_applied;
         let mut delta = InstanceColumns::default();
@@ -506,41 +460,18 @@ impl LiveService {
         Ok(snap)
     }
 
-    /// Loads an event stream through the resilient ingest path and
-    /// applies it in batches of `batch_events` events (canonical order).
-    pub fn ingest_stream(
-        &mut self,
-        reader: &mut dyn Read,
-        opts: &EventOptions,
-        batch_events: usize,
-    ) -> Result<IngestSummary, ServeError> {
-        assert!(batch_events > 0, "batch size must be positive");
-        let retries_before =
-            self.checkpoints.as_ref().map_or(0, |(store, _)| store.retries_spent());
-        let log = load_events(reader, &self.entities, opts)?;
-        let mut batches = 0u64;
-        let mut applied = 0u64;
-        for chunk in log.events.chunks(batch_events) {
-            self.apply_events(chunk)?;
-            batches += 1;
-            applied += chunk.len() as u64;
-        }
-        let retries_after = self.checkpoints.as_ref().map_or(0, |(store, _)| store.retries_spent());
-        Ok(IngestSummary {
-            report: log.report,
-            batches,
-            events_applied: applied,
-            version: self.version,
-            checkpoint_retries: retries_after - retries_before,
-        })
-    }
-
     /// Writes a checkpoint now (regardless of cadence), streamed from the
-    /// service's own entity tables and rows. Panics if the service has no
-    /// checkpoint store configured.
+    /// service's own entity tables and rows. A service without a
+    /// checkpoint store ([`with_checkpoints`](LiveService::with_checkpoints)
+    /// or [`restore`](LiveService::restore)) fails with
+    /// [`ServeError::Checkpoint`].
     pub fn checkpoint_now(&self) -> Result<PathBuf, ServeError> {
-        let (store, _) =
-            self.checkpoints.as_ref().expect("checkpoint_now requires with_checkpoints/restore");
+        let Some((store, _)) = &self.checkpoints else {
+            return Err(ServeError::Checkpoint(CheckpointError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "checkpoint_now needs a checkpoint store (with_checkpoints or restore)",
+            ))));
+        };
         let progress = CheckpointProgress {
             events_applied: self.events_applied,
             version: self.version,
@@ -563,21 +494,25 @@ impl LiveService {
 mod tests {
     use super::*;
     use crate::replay::EventFeed;
+    use crowd_ingest::events::{load_events, EventOptions};
     use crowd_sim::SimConfig;
 
     #[test]
     fn applying_the_full_feed_matches_the_batch_study() {
         let feed = EventFeed::from_config(&SimConfig::tiny(51));
         let mut svc = LiveService::new(Arc::clone(&feed.entities));
-        let summary = svc
-            .ingest_stream(&mut feed.to_csv().as_bytes(), &EventOptions::default(), 2000)
-            .expect("clean feed");
-        assert_eq!(summary.report.verified, Some(true));
+        let log =
+            load_events(&mut feed.to_csv().as_bytes(), &feed.entities, &EventOptions::default())
+                .expect("clean feed");
+        for chunk in log.events.chunks(2000) {
+            svc.apply_events(chunk).unwrap();
+        }
+        assert_eq!(log.report.verified, Some(true));
         assert_eq!(svc.gauges().completed as usize, feed.n_completed());
         assert_eq!(svc.gauges().posted as usize, feed.entities.batches.len());
 
         let snap = svc.handle().snapshot();
-        assert_eq!(snap.version, summary.version);
+        assert_eq!(snap.version, svc.version());
         assert_eq!(snap.view.rows, feed.n_completed());
         let diffs = crowd_testkit::compare_fused(
             &snap.view.fused,
@@ -595,6 +530,16 @@ mod tests {
         let v2 = svc.apply_events(&[]).unwrap();
         assert_eq!((v1.version, v2.version), (1, 2));
         assert_eq!(v2.view.fused.n_instances(), 0);
+    }
+
+    #[test]
+    fn checkpoint_now_without_a_store_is_a_typed_error() {
+        let feed = EventFeed::from_config(&SimConfig::tiny(52));
+        let svc = LiveService::new(Arc::clone(&feed.entities));
+        assert!(matches!(
+            svc.checkpoint_now(),
+            Err(ServeError::Checkpoint(CheckpointError::Io(_)))
+        ));
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -722,11 +667,13 @@ mod tests {
         let (body, _trailer) = csv.trim_end().rsplit_once('\n').unwrap();
         let wire =
             format!("{body}\nC,999999,0,0,0,9000000000000000000,9000000000000000000,0.5,S\n");
-        let summary = svc
-            .ingest_stream(&mut wire.as_bytes(), &EventOptions::default(), 1000)
+        let log = load_events(&mut wire.as_bytes(), &feed.entities, &EventOptions::default())
             .expect("the record is quarantined, not applied");
-        assert_eq!(summary.report.quarantined, 1);
-        assert_eq!(summary.report.verified, None);
+        for chunk in log.events.chunks(1000) {
+            svc.apply_events(chunk).unwrap();
+        }
+        assert_eq!(log.report.quarantined, 1);
+        assert_eq!(log.report.verified, None);
         assert_eq!(svc.gauges().completed as usize, feed.n_completed());
 
         let logged = wal_replay(&dir.join("wal"), 64, 0, &feed.entities).unwrap();
@@ -797,8 +744,8 @@ mod tests {
         }
         assert!(!store.list().is_empty(), "cadence must have produced checkpoints");
 
-        let (restored, faults) = LiveService::restore(store, 500).unwrap();
-        assert!(faults.is_empty());
+        let (restored, report) = LiveService::restore(store, 500, Arc::clone(&feed.entities));
+        assert!(report.checkpoint_faults.is_empty());
         // The newest checkpoint may trail the live service by < cadence
         // events; replay the tail to catch up.
         let tail = &log.events[restored.events_applied() as usize..];

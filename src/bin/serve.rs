@@ -30,7 +30,7 @@ use crowd_ingest::killpoint::points_passed;
 use crowd_ingest::{MarketEvent, WalOptions};
 use crowd_marketplace::cli::CommonOpts;
 use crowd_serve::query::dashboard;
-use crowd_serve::{ApplyQueue, CheckpointStore, EventFeed, LiveService, ServeError, ShedPolicy};
+use crowd_serve::{ApplyQueue, CheckpointStore, EventFeed, LiveService, ShedPolicy};
 use crowd_sim::SimConfig;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -161,7 +161,7 @@ fn die(msg: &str) -> ! {
 
 /// A deterministic dump of everything the durability guarantee covers:
 /// event counters, every applied row in applied order, and the fused
-/// aggregates. Versions, WAL stats, and overload gauges are *excluded* —
+/// aggregates. Versions, WAL stats, and queue counters are *excluded* —
 /// they legitimately differ between a straight run and a
 /// crashed-and-recovered one whose state is nonetheless identical.
 fn export_state(service: &LiveService) -> String {
@@ -227,48 +227,31 @@ fn main() {
             .as_deref()
             .unwrap_or_else(|| die("--resume requires --checkpoint-dir"));
         let store = CheckpointStore::new(dir, cfg.seed);
+        let entities = Arc::clone(&feed.entities);
         let started = Instant::now();
-        let service = if let Some(wal_dir) = &args.wal_dir {
-            let (service, report) = LiveService::restore_durable(
+        let (service, report) = match &args.wal_dir {
+            Some(wal_dir) => LiveService::restore_durable(
                 store,
                 args.checkpoint_every,
-                Arc::clone(&feed.entities),
+                entities,
                 wal_dir,
                 wal_opts,
             )
-            .unwrap_or_else(|e| die(&format!("recovery failed: {e}")));
-            eprintln!(
-                "recovered: checkpoint at {} events + {} WAL events ({} records{}){}",
-                report.checkpoint_events,
-                report.wal_events_replayed,
-                report.wal_records,
-                if report.torn_truncated { ", torn tail truncated" } else { "" },
-                if report.checkpoint_faults.is_empty() {
-                    String::new()
-                } else {
-                    format!(", stepped over {} bad checkpoint(s)", report.checkpoint_faults.len())
-                },
-            );
-            service
-        } else {
-            match LiveService::restore(store, args.checkpoint_every) {
-                Ok((service, faults)) => {
-                    if !faults.is_empty() {
-                        eprintln!("recovered past {} damaged checkpoint(s)", faults.len());
-                    }
-                    service
-                }
-                Err(ServeError::Checkpoint(crowd_serve::CheckpointError::NoValidCheckpoint {
-                    ..
-                })) => {
-                    eprintln!("no checkpoint to resume from; starting fresh");
-                    let store = CheckpointStore::new(dir, cfg.seed);
-                    LiveService::new(Arc::clone(&feed.entities))
-                        .with_checkpoints(store, args.checkpoint_every)
-                }
-                Err(e) => die(&format!("recovery failed: {e}")),
-            }
+            .unwrap_or_else(|e| die(&format!("recovery failed: {e}"))),
+            None => LiveService::restore(store, args.checkpoint_every, entities),
         };
+        eprintln!(
+            "recovered: checkpoint at {} events + {} WAL events ({} records{}){}",
+            report.checkpoint_events,
+            report.wal_events_replayed,
+            report.wal_records,
+            if report.torn_truncated { ", torn tail truncated" } else { "" },
+            if report.checkpoint_faults.is_empty() {
+                String::new()
+            } else {
+                format!(", stepped over {} bad checkpoint(s)", report.checkpoint_faults.len())
+            },
+        );
         println!("recovery_ms={:.1}", started.elapsed().as_secs_f64() * 1e3);
         service
     } else {
@@ -350,21 +333,12 @@ fn main() {
     let started = Instant::now();
     let mut batches = 0u64;
     let mut applied = 0u64;
-    let mut seen_shed = (0u64, 0u64);
     loop {
         let popped = match args.shed_policy {
             ShedPolicy::DegradeStale => queue.pop_all(Duration::from_secs(5)),
             _ => queue.pop(Duration::from_secs(5)).map(|events| (events, 1)),
         };
         let Some((events, coalesced)) = popped else { break };
-        let stats = queue.stats();
-        if stats.shed_batches > seen_shed.0 {
-            // Shed at admission: those events were never accepted.
-            service.note_shed(stats.shed_batches - seen_shed.0, stats.shed_events - seen_shed.1);
-            seen_shed = (stats.shed_batches, stats.shed_events);
-        }
-        let (_, lag) = queue.pending();
-        service.set_lag(lag);
         service.apply_events(&events).unwrap_or_else(|e| die(&format!("apply failed: {e}")));
         batches += coalesced;
         applied += events.len() as u64;
@@ -392,7 +366,6 @@ fn main() {
         log.report.quarantined,
         log.report.verified
     );
-    let gauges = service.gauges();
     if let Some(wal) = service.wal_stats() {
         println!(
             "wal: {} appends, {} fsyncs, {} rotations, {:.1} MiB, {} segments retired",
@@ -403,15 +376,18 @@ fn main() {
             wal.segments_retired
         );
     }
+    // Shed batches were dropped at admission: their events were never
+    // accepted, so no other counter saw them.
     let qstats = queue.stats();
+    let (_, lag) = queue.pending();
     println!(
         "overload: policy {} — {} shed batches ({} events), {} blocked pushes, peak depth {}, final lag {}",
         args.shed_policy.name(),
-        gauges.shed_batches,
-        gauges.shed_events,
+        qstats.shed_batches,
+        qstats.shed_events,
         qstats.blocked_pushes,
         qstats.peak_depth,
-        gauges.lag_events
+        lag
     );
     let total_queries = queries.load(Ordering::Relaxed);
     if !latencies.is_empty() {

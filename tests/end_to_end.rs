@@ -25,9 +25,30 @@ fn csv_roundtrip_preserves_everything() {
     let ds = simulate(&SimConfig::new(6, 0.0005));
     let dir = std::env::temp_dir().join(format!("crowd_e2e_{}", std::process::id()));
     crowd_core::csv::export_dir(&ds, &dir).expect("export");
-    let back = crowd_core::csv::import_dir(&dir).expect("import");
+    let opts = crowd_ingest::IngestOptions {
+        budget: crowd_core::provenance::ErrorBudget::strict(),
+        ..crowd_ingest::IngestOptions::default()
+    };
+    let ingested = crowd_ingest::ingest_dir(&dir, &opts).expect("import");
+    assert!(ingested.report.is_clean(), "{}", ingested.report.summary());
+    let back = ingested.dataset;
     assert_eq!(ds.instances.len(), back.instances.len());
-    assert_eq!(ds.instances, back.instances);
+    // Ingest puts instance rows in its canonical order, so the rows must
+    // match as a multiset, record for record.
+    let records = |d: &Dataset| {
+        let mut out: Vec<String> = d
+            .instances
+            .iter()
+            .map(|row| {
+                let mut rec = String::new();
+                crowd_core::csv::instance_record(row, &mut rec);
+                rec
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    assert_eq!(records(&ds), records(&back));
     assert_eq!(ds.batches, back.batches);
     assert_eq!(ds.task_types, back.task_types);
     assert_eq!(ds.workers, back.workers);

@@ -153,16 +153,18 @@ fn all_skipped_answers_give_full_disagreement() {
     assert_eq!(m.disagreement, Some(1.0), "skips never agree (§4.1)");
 }
 
-// ---------------------------------------------------------------------------
-// import_dir failure paths: every table × {truncated header, wrong field
-// count, unparsable value, dangling id} must come back as a typed
-// `CoreError` naming the right line — never a panic, never a partial load.
+// Strict ingest failure paths: every table × {truncated header, wrong field
+// count, unparsable value, dangling id}, loaded through `ingest_dir` under
+// `ErrorBudget::strict()`, must come back as a typed `CoreError` naming the
+// right line — never a panic, never a partial load.
 // ---------------------------------------------------------------------------
 
 mod import_faults {
     use super::minimal_dataset;
-    use crowd_marketplace::core::csv::{export_dir, import_dir, Table};
-    use crowd_marketplace::core::error::CoreError;
+    use crowd_marketplace::core::csv::{export_dir, Table};
+    use crowd_marketplace::core::error::{CoreError, FaultClass};
+    use crowd_marketplace::core::provenance::{ErrorBudget, QuarantinedRow};
+    use crowd_marketplace::ingest::{ingest_dir, IngestFailure, IngestOptions};
     use std::path::{Path, PathBuf};
 
     fn exported(tag: &str) -> PathBuf {
@@ -184,9 +186,18 @@ mod import_faults {
         text.matches('\n').count() + 1
     }
 
+    /// Loads `dir` under the strict budget, which must fail.
+    fn strict_failure(dir: &Path, context: &str) -> IngestFailure {
+        let opts = IngestOptions { budget: ErrorBudget::strict(), ..IngestOptions::default() };
+        match ingest_dir(dir, &opts) {
+            Err(failure) => failure,
+            Ok(_) => panic!("{context}: a strict load of damaged input must fail"),
+        }
+    }
+
     fn expect_csv_error(dir: &Path, want_line: usize, want_msg: &str, context: &str) {
-        match import_dir(dir) {
-            Err(CoreError::Csv { line, message }) => {
+        match strict_failure(dir, context).error {
+            CoreError::Csv { line, message } => {
                 assert_eq!(line, want_line, "{context}: wrong line in `{message}`");
                 assert!(
                     message.contains(want_msg),
@@ -195,6 +206,31 @@ mod import_faults {
             }
             other => panic!("{context}: expected a CSV error, got {other:?}"),
         }
+    }
+
+    /// The one record a strict load quarantined before giving up.
+    fn expect_quarantined(dir: &Path, table: Table, context: &str) -> QuarantinedRow {
+        let failure = strict_failure(dir, context);
+        match failure.error {
+            CoreError::BudgetExceeded { table: t, quarantined: 1, budget: 0 } => {
+                assert_eq!(t, table.name(), "{context}: wrong table over budget");
+            }
+            other => panic!("{context}: expected BudgetExceeded, got {other:?}"),
+        }
+        assert_eq!(failure.report.quarantine.len(), 1, "{context}");
+        failure.report.quarantine[0].clone()
+    }
+
+    fn expect_rejected(dir: &Path, table: Table, want: (usize, FaultClass, &str), context: &str) {
+        let (want_line, want_fault, want_msg) = want;
+        let q = expect_quarantined(dir, table, context);
+        assert_eq!(q.line, want_line, "{context}: wrong line in `{}`", q.message);
+        assert_eq!(q.fault, want_fault, "{context}: `{}`", q.message);
+        assert!(
+            q.message.contains(want_msg),
+            "{context}: `{}` does not mention `{want_msg}`",
+            q.message
+        );
     }
 
     #[test]
@@ -222,7 +258,7 @@ mod import_faults {
                 text.push_str("x\n");
                 text
             });
-            expect_csv_error(&dir, line, "fields", table.name());
+            expect_rejected(&dir, table, (line, FaultClass::Arity, "fields"), table.name());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -232,15 +268,20 @@ mod import_faults {
         // A right-arity record whose typed field cannot parse. `countries`
         // has no typed field, so its slot is an unterminated quote — the
         // lexer-level equivalent.
-        let bad: [(Table, &str, &str); 6] = [
-            (Table::Sources, "nm,badkind", "bad source kind"),
-            (Table::Countries, "\"unterminated", "unterminated quoted field"),
-            (Table::Workers, "x,y", "bad source id"),
-            (Table::TaskTypes, "t,x,0,0,2", "bad goal bits"),
-            (Table::Batches, "0,notatime,1,<p>x</p>", "bad created_at"),
-            (Table::Instances, "0,0,0,100,200,zz,S", "bad trust"),
+        let bad: [(Table, &str, FaultClass, &str); 6] = [
+            (Table::Sources, "nm,badkind", FaultClass::Numeric, "bad source kind"),
+            (
+                Table::Countries,
+                "\"unterminated",
+                FaultClass::Malformed,
+                "unterminated quoted field",
+            ),
+            (Table::Workers, "x,y", FaultClass::Numeric, "bad source id"),
+            (Table::TaskTypes, "t,x,0,0,2", FaultClass::Numeric, "bad goal bits"),
+            (Table::Batches, "0,notatime,1,<p>x</p>", FaultClass::Numeric, "bad created_at"),
+            (Table::Instances, "0,0,0,100,200,zz,S", FaultClass::Numeric, "bad trust"),
         ];
-        for (table, row, msg) in bad {
+        for (table, row, fault, msg) in bad {
             let dir = exported("value");
             let line = next_line(&dir, table);
             corrupt(&dir, table, |mut text| {
@@ -248,33 +289,29 @@ mod import_faults {
                 text.push('\n');
                 text
             });
-            expect_csv_error(&dir, line, msg, table.name());
+            expect_rejected(&dir, table, (line, fault, msg), table.name());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     #[test]
     fn dangling_ids_are_typed_errors_naming_the_referenced_table() {
-        // Rows that parse but point at entities that do not exist; the
-        // builder's referential validation rejects the assembled dataset.
+        // Rows that parse but point at entities that do not exist: the row
+        // rule rejects them against the tables loaded before them.
         let bad: [(Table, &str, &str); 3] = [
-            (Table::Workers, "9,0", "sources"),
-            (Table::Batches, "9,1000,0,", "task_types"),
-            (Table::Instances, "9,0,0,100,200,0.5,S", "batches"),
+            (Table::Workers, "9,0", "source 9"),
+            (Table::Batches, "9,1000,0,", "task type 9"),
+            (Table::Instances, "9,0,0,100,200,0.5,S", "batch 9"),
         ];
         for (table, row, referenced) in bad {
             let dir = exported("dangling");
+            let line = next_line(&dir, table);
             corrupt(&dir, table, |mut text| {
                 text.push_str(row);
                 text.push('\n');
                 text
             });
-            match import_dir(&dir) {
-                Err(CoreError::DanglingReference { table: t, index: 9, .. }) => {
-                    assert_eq!(t, referenced, "{} row must dangle into {referenced}", table.name());
-                }
-                other => panic!("{}: expected DanglingReference, got {other:?}", table.name()),
-            }
+            expect_rejected(&dir, table, (line, FaultClass::Dangling, referenced), table.name());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -287,7 +324,12 @@ mod import_faults {
             text.push_str("0,1000,yes,<p>x</p>\n");
             text
         });
-        expect_csv_error(&dir, line, "bad sampled flag", "batches");
+        expect_rejected(
+            &dir,
+            Table::Batches,
+            (line, FaultClass::Numeric, "bad sampled flag"),
+            "batches",
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

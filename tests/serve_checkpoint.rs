@@ -3,8 +3,9 @@
 //! must be indistinguishable from a service that never died — its
 //! exported CSVs byte-identical and its published fused state
 //! bit-identical. Torn checkpoint files must be stepped over with typed
-//! faults, and a directory with nothing restorable must fail with a
-//! typed error, never a panic or a silently partial state.
+//! faults, and a directory with nothing restorable must give a fresh
+//! service that lists every file it stepped over — never a panic or a
+//! silently partial state.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,7 +13,7 @@ use std::sync::Arc;
 
 use crowd_core::csv::export_dir;
 use crowd_ingest::load_events_str;
-use crowd_serve::{CheckpointError, CheckpointStore, EventFeed, LiveService, ServeError};
+use crowd_serve::{CheckpointStore, EventFeed, LiveService};
 use crowd_sim::SimConfig;
 
 fn tmp(name: &str) -> PathBuf {
@@ -68,7 +69,8 @@ fn killed_and_restored_run_exports_byte_identical_csvs() {
     assert!(store.list().len() >= 2, "cadence must have written checkpoints");
 
     // Restore from the newest checkpoint and replay the tail.
-    let (mut restored, faults) = LiveService::restore(store, CADENCE).expect("restore");
+    let (mut restored, report) = LiveService::restore(store, CADENCE, Arc::clone(&feed.entities));
+    let faults = report.checkpoint_faults;
     assert!(faults.is_empty(), "no checkpoint was damaged: {faults:?}");
     let resumed_at = restored.events_applied() as usize;
     assert!(
@@ -135,8 +137,9 @@ fn torn_checkpoints_fall_back_with_typed_faults() {
     ];
     for (case, bytes) in torn {
         fs::write(&newest, &bytes).unwrap();
-        let (restored, faults) = LiveService::restore(store.clone(), 800)
-            .unwrap_or_else(|e| panic!("{case}: restore must fall back, got {e}"));
+        let (restored, report) =
+            LiveService::restore(store.clone(), 800, Arc::clone(&feed.entities));
+        let faults = report.checkpoint_faults;
         assert_eq!(faults.len(), 1, "{case}: exactly the damaged file is skipped");
         assert_eq!(faults[0].path, newest, "{case}");
         assert!(
@@ -146,15 +149,13 @@ fn torn_checkpoints_fall_back_with_typed_faults() {
     }
     fs::write(&newest, &pristine).unwrap();
 
-    // Every file torn: typed error listing every candidate, no panic.
+    // Every file torn: a fresh service with one typed fault per
+    // candidate, no panic.
     for f in &files {
         fs::write(f, b"not a checkpoint").unwrap();
     }
-    match LiveService::restore(store, 800) {
-        Err(ServeError::Checkpoint(CheckpointError::NoValidCheckpoint { faults })) => {
-            assert_eq!(faults.len(), files.len());
-        }
-        other => panic!("expected NoValidCheckpoint, got {:?}", other.map(|_| "restored")),
-    }
+    let (restored, report) = LiveService::restore(store, 800, Arc::clone(&feed.entities));
+    assert_eq!(restored.events_applied(), 0, "nothing restorable: a fresh start");
+    assert_eq!(report.checkpoint_faults.len(), files.len());
     fs::remove_dir_all(&ckpt_dir).ok();
 }

@@ -14,7 +14,10 @@
 //! smoke test probes three structurally interesting points; the
 //! `#[ignore]`d matrix sweeps a seeded sample of the whole schedule plus
 //! a double-kill (crash during recovery) case — run it with
-//! `cargo test --release --test serve_crash -- --ignored`.
+//! `cargo test --release --test serve_crash -- --ignored`. A
+//! checkpoints-only case (no `--wal-dir`) holds `--resume` to the same
+//! standard when the newest checkpoint is all there is: the resumed run
+//! re-ingests the rest of the feed and must export the golden state.
 
 #![cfg(unix)]
 
@@ -28,6 +31,8 @@ use crowd_core::rng::stream_seed;
 /// One scenario's working area: checkpoint dir, WAL dir, export path.
 struct Dirs {
     root: PathBuf,
+    /// Whether the scenario's runs write ahead to a WAL (`--wal-dir`).
+    wal: bool,
 }
 
 /// Numbers every `Dirs` of this process: the tests run concurrently and
@@ -36,12 +41,21 @@ static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
 impl Dirs {
     fn new(tag: &str) -> Dirs {
+        Dirs::with_wal(tag, true)
+    }
+
+    /// A scenario whose runs keep checkpoints but no WAL.
+    fn checkpoints_only(tag: &str) -> Dirs {
+        Dirs::with_wal(tag, false)
+    }
+
+    fn with_wal(tag: &str, wal: bool) -> Dirs {
         let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
         let root = std::env::temp_dir()
             .join(format!("crowd_serve_crash_{tag}_{}_{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).expect("create scenario dir");
-        Dirs { root }
+        Dirs { root, wal }
     }
 
     fn export(&self) -> PathBuf {
@@ -77,7 +91,9 @@ fn serve_cmd(dirs: &Dirs, resume: bool) -> Command {
         "65536",
     ]);
     cmd.arg("--checkpoint-dir").arg(dirs.root.join("ckpt"));
-    cmd.arg("--wal-dir").arg(dirs.root.join("wal"));
+    if dirs.wal {
+        cmd.arg("--wal-dir").arg(dirs.root.join("wal"));
+    }
     cmd.arg("--export-state").arg(dirs.export());
     if resume {
         cmd.arg("--resume");
@@ -96,9 +112,13 @@ fn stdout_of(out: &Output) -> String {
 /// Runs the never-crashed golden workload once; returns its exported
 /// state and the length of the kill-point schedule.
 fn golden() -> (Vec<u8>, u64) {
-    let dirs = Dirs::new("golden");
+    golden_in(&Dirs::new("golden"))
+}
+
+/// [`golden`] in the scenario `dirs` (with or without a WAL).
+fn golden_in(dirs: &Dirs) -> (Vec<u8>, u64) {
     let out =
-        serve_cmd(&dirs, false).env("CROWD_KILL_REPORT", "1").output().expect("spawn golden serve");
+        serve_cmd(dirs, false).env("CROWD_KILL_REPORT", "1").output().expect("spawn golden serve");
     assert!(out.status.success(), "golden run failed:\n{}", String::from_utf8_lossy(&out.stderr));
     let stdout = stdout_of(&out);
     let points = stdout
@@ -207,4 +227,29 @@ fn crash_during_recovery_still_recovers() {
     assert!(resume(&dirs, Some(3)).is_none());
     let state = resume(&dirs, None).expect("final resume");
     assert_eq!(state, golden_state, "double-kill recovery diverged from the golden run");
+}
+
+#[test]
+fn checkpoints_only_runs_resume_bit_identical_state() {
+    let (golden_state, points) = golden_in(&Dirs::checkpoints_only("ckpt_golden"));
+
+    // Nothing to restore: `--resume` over an empty checkpoint directory
+    // starts fresh and ingests the whole feed.
+    let fresh = Dirs::checkpoints_only("ckpt_fresh");
+    let state = resume(&fresh, None).expect("fresh resume");
+    assert_eq!(state, golden_state, "resume over no checkpoint diverged from the golden run");
+
+    // Killed at a seeded point in the second half of the schedule, past
+    // the first checkpoint: the resumed run restores the newest
+    // checkpoint and re-ingests everything after it.
+    let at = points / 2 + 1 + stream_seed(0xC4A05, 100) % (points - points / 2);
+    let killed = Dirs::checkpoints_only("ckpt_killed");
+    run_killed(&killed, at);
+    let left = std::fs::read_dir(killed.root.join("ckpt")).map_or(0, Iterator::count);
+    assert!(left > 0, "kill point {at}: the killed run left no checkpoint to restore");
+    let state = resume(&killed, None).expect("resume after the kill");
+    assert_eq!(
+        state, golden_state,
+        "kill point {at}: checkpoints-only recovery diverged from the never-crashed run"
+    );
 }
