@@ -28,17 +28,18 @@ pub struct RedundancyStats {
 
 /// Computes redundancy statistics. `None` on an empty dataset.
 pub fn redundancy(study: &Study) -> Option<RedundancyStats> {
-    // Judgments per (batch, item), from the fused scan. BTreeMap order
-    // matters: `Summary::of` folds the counts in iteration order, and a
-    // hash map's per-process random seed would wobble the mean/stddev in
-    // the last ulp across processes. Emptiness is judged on the fused map
-    // too — `ds.instances` is empty for every columns-optional study.
+    // Judgments per (batch, item), from the fused scan. Ascending key
+    // order matters: `Summary::of` folds the counts in iteration order,
+    // and a hash map's per-process random seed would wobble the
+    // mean/stddev in the last ulp across processes. Emptiness is judged
+    // on the fused counts too — `ds.instances` is empty for every
+    // columns-optional study.
     let per_item = &study.fused().per_item;
     if per_item.is_empty() {
         return None;
     }
-    let counts: Vec<f64> = per_item.values().map(|&c| f64::from(c)).collect();
-    let pairable = per_item.values().filter(|&&c| c >= 2).count() as f64 / per_item.len() as f64;
+    let counts: Vec<f64> = per_item.iter().map(|&(_, c)| f64::from(c)).collect();
+    let pairable = per_item.iter().filter(|&&(_, c)| c >= 2).count() as f64 / per_item.len() as f64;
 
     // Per-cluster medians.
     let mut batch_cluster: BTreeMap<u32, u32> = BTreeMap::new();
@@ -46,7 +47,7 @@ pub fn redundancy(study: &Study) -> Option<RedundancyStats> {
         batch_cluster.insert(m.batch.raw(), m.cluster);
     }
     let mut by_cluster: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-    for (&(batch, _), &count) in per_item {
+    for &((batch, _), count) in per_item {
         if let Some(&cluster) = batch_cluster.get(&batch) {
             by_cluster.entry(cluster).or_default().push(f64::from(count));
         }

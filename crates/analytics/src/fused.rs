@@ -20,9 +20,11 @@
 //! in row order, merged sequentially in chunk order — so every float sum
 //! here is bit-identical at any thread count. Keyed scan state is
 //! index-addressed (dense tables, ascending runs), never hashed, and the
-//! outputs are `BTreeMap`/`BTreeSet`, so shaping iterates in a
-//! process-independent order (a `HashMap`'s random seed must never decide
-//! the order in which floats are added or rows are exported).
+//! outputs are `BTreeMap`s keyed by worker and source id and ascending,
+//! key-unique `Vec`s (a worker's days, months and weeks; `per_day`;
+//! `per_item`), so shaping iterates in a process-independent order (a
+//! `HashMap`'s random seed must never decide the order in which floats
+//! are added or rows are exported).
 //!
 //! Two rules let the live view finish the aggregates at any prefix of
 //! the rows and match a batch scan over that prefix. Week offsets count
@@ -39,7 +41,8 @@
 //! keep consuming the shaped outputs in [`crate::marketplace`],
 //! [`crate::workers`] and [`crate::design`] instead.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use crowd_core::prelude::*;
@@ -64,7 +67,7 @@ pub struct WeekCell {
 }
 
 /// Raw per-worker aggregates (only workers with ≥ 1 instance appear).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct WorkerAgg {
     /// Instances performed.
     pub tasks: u64,
@@ -76,15 +79,16 @@ pub struct WorkerAgg {
     pub first_day: i64,
     /// Day number of the last activity.
     pub last_day: i64,
-    /// Distinct active day numbers.
-    pub days: BTreeSet<i64>,
-    /// Distinct active months (see [`month_index`]).
-    pub months: BTreeSet<i32>,
+    /// Distinct active day numbers, ascending.
+    pub days: Vec<i64>,
+    /// Distinct active months (see [`month_index`]), ascending.
+    pub months: Vec<i32>,
     /// `(start, end)` of every instance, in row order (for sessions).
     pub intervals: Vec<(Timestamp, Timestamp)>,
-    /// Per-week activity, keyed by week offset from the dataset's first
-    /// week (floored at 0 like the availability figures).
-    pub weeks: BTreeMap<usize, WeekCell>,
+    /// Per-week activity as `(week offset, cell)`, ascending and
+    /// key-unique; the offset counts from the dataset's first week
+    /// (floored at 0 like the availability figures).
+    pub weeks: Vec<(usize, WeekCell)>,
 }
 
 /// Raw per-source aggregates (only sources with ≥ 1 instance appear).
@@ -104,7 +108,7 @@ pub struct SourceAgg {
 
 /// Everything the analytics layer needs from the instance table, gathered
 /// in one scan and cached on the [`Study`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Fused {
     /// First week index of the dataset (0 when empty).
     pub w0: i32,
@@ -122,12 +126,13 @@ pub struct Fused {
     pub median_pickup: Vec<Option<f64>>,
     /// Instances issued per day of week (of the batch creation time).
     pub weekday: [u64; 7],
-    /// Instances issued per day number (of the batch creation time).
-    pub per_day: BTreeMap<i64, u64>,
+    /// `(day number, instances issued that day)` by batch creation time,
+    /// ascending and key-unique (days without instances are absent).
+    pub per_day: Vec<(i64, u64)>,
     /// Fig 13b instance-level latency points, one per end-to-end splice.
     pub instance_latency: Vec<LatencyPoint>,
-    /// Judgments per `(batch, item)`.
-    pub per_item: BTreeMap<(u32, u32), u32>,
+    /// `((batch, item), judgments)`, ascending and key-unique.
+    pub per_item: Vec<((u32, u32), u32)>,
 }
 
 impl Fused {
@@ -136,6 +141,62 @@ impl Fused {
     /// weekday histogram counts every row exactly once).
     pub fn n_instances(&self) -> u64 {
         self.weekday.iter().sum()
+    }
+}
+
+/// Formats an ascending, key-unique `Vec` of keys as the set it holds.
+struct AsSet<'a, K>(&'a [K]);
+
+impl<K: fmt::Debug> fmt::Debug for AsSet<'_, K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.0).finish()
+    }
+}
+
+/// Formats an ascending, key-unique `Vec` of `(key, value)` as the map it
+/// holds.
+struct AsMap<'a, K, V>(&'a [(K, V)]);
+
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for AsMap<'_, K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.0.iter().map(|(k, v)| (k, v))).finish()
+    }
+}
+
+// `Debug` prints the keyed `Vec`s as the sets and maps they hold, so a
+// `{:?}` dump (`serve --export-state`) keeps the shape it had when they
+// were `BTreeSet`s and `BTreeMap`s.
+impl fmt::Debug for WorkerAgg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkerAgg")
+            .field("tasks", &self.tasks)
+            .field("work_secs", &self.work_secs)
+            .field("trust_sum", &self.trust_sum)
+            .field("first_day", &self.first_day)
+            .field("last_day", &self.last_day)
+            .field("days", &AsSet(&self.days))
+            .field("months", &AsSet(&self.months))
+            .field("intervals", &self.intervals)
+            .field("weeks", &AsMap(&self.weeks))
+            .finish()
+    }
+}
+
+impl fmt::Debug for Fused {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fused")
+            .field("w0", &self.w0)
+            .field("n_weeks", &self.n_weeks)
+            .field("workers", &self.workers)
+            .field("sources", &self.sources)
+            .field("issued", &self.issued)
+            .field("completed", &self.completed)
+            .field("median_pickup", &self.median_pickup)
+            .field("weekday", &self.weekday)
+            .field("per_day", &AsMap(&self.per_day))
+            .field("instance_latency", &self.instance_latency)
+            .field("per_item", &AsMap(&self.per_item))
+            .finish()
     }
 }
 
@@ -164,7 +225,8 @@ impl ScanConfig {
 /// rows by worker into [`Runs`], the merge folds those runs into a dense
 /// [`WorkerSlot`] table indexed by worker id, and every other keyed
 /// family is either a dense vector or an ascending `(key, count)` run.
-/// The ordered [`BTreeMap`]s of [`Fused`] are built once, in `finish`.
+/// `finish` moves those runs into [`Fused`] as they are; only the worker
+/// and source tables become [`BTreeMap`]s there.
 ///
 /// The batch scan, the streamed scan and the live view
 /// ([`crate::view::FusedView`]) all fold with this one accumulator.
@@ -464,24 +526,26 @@ impl WorkerSlot {
     }
 
     /// The public aggregate; `None` for a worker without rows. Months
-    /// are those of the distinct days.
+    /// are those of the distinct days (ascending days give ascending
+    /// months, so dropping repeats leaves them key-unique).
     fn into_agg(self) -> Option<WorkerAgg> {
         let (&first_day, &last_day) = (self.days.first()?, self.days.last()?);
-        let months = self
+        let mut months: Vec<i32> = self
             .days
             .iter()
             .map(|&d| month_index(Timestamp::from_secs(d * crowd_core::time::SECS_PER_DAY)))
             .collect();
+        months.dedup();
         Some(WorkerAgg {
             tasks: self.intervals.len() as u64,
             work_secs: self.work_secs,
             trust_sum: self.trust_sum,
             first_day,
             last_day,
-            days: self.days.into_iter().collect(),
+            days: self.days,
             months,
             intervals: self.intervals,
-            weeks: self.weeks.into_iter().collect(),
+            weeks: self.weeks,
         })
     }
 }
@@ -652,9 +716,9 @@ impl FusedAcc {
             completed: self.completed,
             median_pickup,
             weekday: self.weekday,
-            per_day: self.per_day.into_iter().collect(),
+            per_day: self.per_day,
             instance_latency,
-            per_item: self.per_item.into_iter().collect(),
+            per_item: self.per_item,
         }
     }
 }
@@ -781,8 +845,8 @@ mod tests {
         assert_eq!(f.issued.iter().sum::<u64>(), n);
         assert_eq!(f.completed.iter().sum::<u64>(), n);
         assert_eq!(f.weekday.iter().sum::<u64>(), n);
-        assert_eq!(f.per_day.values().sum::<u64>(), n);
-        assert_eq!(f.per_item.values().map(|&c| u64::from(c)).sum::<u64>(), n);
+        assert_eq!(f.per_day.iter().map(|e| e.1).sum::<u64>(), n);
+        assert_eq!(f.per_item.iter().map(|e| u64::from(e.1)).sum::<u64>(), n);
         let intervals: usize = f.workers.values().map(|w| w.intervals.len()).sum();
         assert_eq!(intervals, ds.instances.len());
     }
@@ -838,7 +902,7 @@ mod tests {
             assert!(agg.days.len() as u64 <= agg.tasks);
             assert!(!agg.months.is_empty());
             assert_eq!(agg.intervals.len() as u64, agg.tasks);
-            assert_eq!(agg.weeks.values().map(|c| c.tasks).sum::<u64>(), agg.tasks);
+            assert_eq!(agg.weeks.iter().map(|c| c.1.tasks).sum::<u64>(), agg.tasks);
         }
     }
 }

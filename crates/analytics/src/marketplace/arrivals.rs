@@ -128,8 +128,8 @@ pub fn daily_load(study: &Study, since: Timestamp) -> Option<DailyLoad> {
         .fused()
         .per_day
         .iter()
-        .filter(|&(&day, _)| day >= cutoff)
-        .map(|(_, &c)| c as f64)
+        .filter(|&&(day, _)| day >= cutoff)
+        .map(|&(_, c)| c as f64)
         .collect();
     if counts.is_empty() {
         return None;

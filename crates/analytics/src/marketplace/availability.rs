@@ -22,7 +22,7 @@ pub fn weekly_workers(study: &Study) -> WeeklyWorkers {
     // A worker is active in every week its per-week cells cover.
     let mut counts = vec![0u64; fused.n_weeks];
     for agg in fused.workers.values() {
-        for &wk in agg.weeks.keys() {
+        for &(wk, _) in &agg.weeks {
             counts[wk] += 1;
         }
     }
@@ -78,7 +78,7 @@ pub fn engagement_split(study: &Study) -> EngagementSplit {
         if top {
             top_total += tasks;
         }
-        for (&wk, cell) in &fused.workers[&worker].weeks {
+        for &(wk, cell) in &fused.workers[&worker].weeks {
             if top {
                 out.tasks_top10[wk] += cell.tasks;
                 out.hours_top10[wk] += cell.hours;

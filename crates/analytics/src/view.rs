@@ -29,8 +29,16 @@
 //!   which shifts as rows arrive. The accumulator keeps the group sums
 //!   (integers, exact in any order) and divides once, when it finishes;
 //!   the view passes the medians of its per-batch work-time piles, the
-//!   same multisets the batch enrichment takes medians of, through the
-//!   same sort-based [`median`].
+//!   same multisets the batch enrichment takes medians of. Each pile is
+//!   kept sorted (by `f64::total_cmp`, the order
+//!   [`median`](crowd_stats::descriptive::median) sorts a copy into) and
+//!   its median cached: a delta appends its seconds, re-sorts only the
+//!   piles it touched (one adaptive sort over a sorted prefix and the
+//!   new tail) and re-takes [`median_sorted`] for those batches alone.
+//!
+//! A publish therefore costs the delta's rows, the touched piles and
+//! one finish that moves the accumulator's ascending runs into
+//! [`Fused`]; it re-reads no untouched batch.
 //!
 //! ## Concurrency
 //!
@@ -44,7 +52,7 @@
 use std::sync::Arc;
 
 use crowd_core::prelude::*;
-use crowd_stats::descriptive::median;
+use crowd_stats::descriptive::median_sorted;
 
 use crate::fused::{Fused, FusedAcc};
 
@@ -67,9 +75,12 @@ pub struct FusedView {
     total: FusedAcc,
     /// Rows past the last full chunk boundary (< [`ScanPass::CHUNK`]).
     tail: InstanceColumns,
-    /// Work seconds of each sampled batch's rows, indexed by batch id: the
-    /// piles the publish-time batch medians are taken from.
+    /// Work seconds of each sampled batch's rows, indexed by batch id and
+    /// sorted by `f64::total_cmp`: the piles the publish-time batch
+    /// medians are taken from.
     batch_times: Vec<Vec<f64>>,
+    /// The median of each pile (`None` while empty), indexed by batch id.
+    medians: Vec<Option<f64>>,
     /// The latest published snapshot.
     snapshot: Arc<ViewSnapshot>,
 }
@@ -92,6 +103,7 @@ impl FusedView {
             total,
             tail: InstanceColumns::new(),
             batch_times: vec![Vec::new(); entities.batches.len()],
+            medians: vec![None; entities.batches.len()],
             snapshot: Arc::new(ViewSnapshot { version: 0, rows: 0, fused }),
             entities,
         }
@@ -121,10 +133,19 @@ impl FusedView {
     /// order) and publishes a new snapshot — empty deltas publish too, so
     /// a heartbeat delta still bumps the version. Returns the snapshot.
     pub fn apply(&mut self, delta: &InstanceColumns) -> Arc<ViewSnapshot> {
+        let mut touched: Vec<usize> = Vec::new();
         for row in delta.iter() {
             if self.entities.batch(row.batch).sampled {
                 self.batch_times[row.batch.index()].push(row.work_time().as_secs() as f64);
+                touched.push(row.batch.index());
             }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for b in touched {
+            let pile = &mut self.batch_times[b];
+            pile.sort_by(f64::total_cmp);
+            self.medians[b] = median_sorted(pile);
         }
         self.tail.extend_from(delta, 0..delta.len());
         // Fold every completed CHUNK of the tail into the running total,
@@ -139,11 +160,10 @@ impl FusedView {
         if !self.tail.is_empty() {
             acc.accept_chunk(&self.entities, 0, &self.tail, 0..self.tail.len());
         }
-        let medians: Vec<Option<f64>> = self.batch_times.iter().map(|pile| median(pile)).collect();
         self.snapshot = Arc::new(ViewSnapshot {
             version: self.snapshot.version + 1,
             rows: self.snapshot.rows + delta.len(),
-            fused: acc.finish_with(&medians),
+            fused: acc.finish_with(&self.medians),
         });
         self.snapshot()
     }
@@ -220,6 +240,81 @@ mod tests {
             assert_eq!(snap.rows, cut);
             assert_eq!(&snap.fused, oracle.fused(), "prefix {cut} must match batch");
         }
+    }
+
+    /// Applies `ds`'s rows cut at `cuts` (ascending row counts; a repeated
+    /// cut is an empty delta) and checks every publish against a batch
+    /// study over the same prefix.
+    fn assert_cuts_match_batch(ds: &Dataset, cuts: &[usize]) {
+        let mut view = FusedView::new(Arc::new(entities_of(ds)));
+        let mut done = 0;
+        for &cut in cuts {
+            let snap = view.apply(&ds.instances.clone_range(done..cut));
+            done = cut;
+            assert_eq!(snap.rows, cut);
+            assert_eq!(&snap.fused, prefix_study(ds, &ds.instances, cut).fused(), "prefix {cut}");
+        }
+    }
+
+    /// Sampled batches `s0`, `s1`, unsampled `u`; rows in the order given
+    /// as `(batch index, work seconds)`. Every delta below appends its
+    /// work times out of order, so a pile that misses its re-sort takes a
+    /// wrong median.
+    fn piles(rows: &[(usize, i64)]) -> Dataset {
+        let mut f = Fixture::new();
+        let ws = f.add_workers(3);
+        let batches = [
+            f.add_batch(Duration::ZERO),
+            f.add_batch(Duration::from_days(3)),
+            f.add_unsampled_batch(Duration::from_days(1)),
+        ];
+        for (i, &(b, secs)) in rows.iter().enumerate() {
+            f.instance(batches[b], i as u32 % 4, ws[i % 3], 60 * i as i64, secs);
+        }
+        f.finish()
+    }
+
+    #[test]
+    fn one_whole_log_apply_sorts_each_pile_once() {
+        let ds = piles(&[
+            (0, 9),
+            (1, 40),
+            (0, 7),
+            (2, 5),
+            (0, 5),
+            (1, 20),
+            (0, 3),
+            (1, 30),
+            (0, 1),
+            (0, 8),
+        ]);
+        assert_cuts_match_batch(&ds, &[ds.instances.len()]);
+    }
+
+    #[test]
+    fn deltas_touching_only_unsampled_batches_keep_the_medians() {
+        let ds =
+            piles(&[(0, 10), (0, 30), (0, 20), (2, 50), (2, 1), (0, 3), (0, 40), (0, 2), (2, 9)]);
+        assert_cuts_match_batch(&ds, &[3, 5, 8, 9]);
+    }
+
+    #[test]
+    fn a_delta_returning_to_an_old_batch_re_sorts_its_pile() {
+        // s0's pile is [10, 20, 30] after the first delta; s1 comes
+        // between; s0 then gains [3, 25, 1], which land on both sides of
+        // the old middle.
+        let ds =
+            piles(&[(0, 30), (0, 10), (0, 20), (1, 40), (1, 4), (1, 9), (0, 3), (0, 25), (0, 1)]);
+        assert_cuts_match_batch(&ds, &[3, 6, 9]);
+    }
+
+    #[test]
+    fn empty_deltas_keep_the_cached_medians() {
+        let ds =
+            piles(&[(0, 30), (0, 10), (0, 20), (1, 40), (1, 4), (1, 9), (0, 3), (0, 25), (0, 1)]);
+        // Repeated cuts are empty deltas: before any row, and between and
+        // after the touching ones.
+        assert_cuts_match_batch(&ds, &[0, 0, 3, 3, 6, 6, 9, 9]);
     }
 
     #[test]

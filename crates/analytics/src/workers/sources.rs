@@ -98,7 +98,7 @@ pub fn active_sources_weekly(study: &Study) -> ActiveSources {
     let mut sets: Vec<std::collections::BTreeSet<u32>> = vec![std::collections::BTreeSet::new(); n];
     for (&w, agg) in &fused.workers {
         let src = ds.worker(WorkerId::new(w)).source.raw();
-        for &wk in agg.weeks.keys() {
+        for &(wk, _) in &agg.weeks {
             sets[wk].insert(src);
         }
     }

@@ -55,6 +55,14 @@ pub fn parse_records(text: &str) -> CsvRecords<'_> {
 }
 
 /// Iterator over CSV records; yields `(line_number, fields)`.
+///
+/// The scanner walks bytes: every byte it acts on (`,`, `"`, CR, LF) is
+/// ASCII, which never occurs inside a multi-byte UTF-8 sequence, so each
+/// run between two of them is appended as one `&str` slice. Outside
+/// quotes a CR is dropped wherever it occurs (CRLF tolerance); inside
+/// quotes it is kept, and every LF there counts a line. A malformed
+/// record leaves the iterator at the record's start (see
+/// [`parse_records_lossy`] for recovery).
 pub struct CsvRecords<'a> {
     rest: &'a str,
     line: usize,
@@ -69,76 +77,73 @@ impl<'a> Iterator for CsvRecords<'a> {
         }
         self.line += 1;
         let start_line = self.line;
+        let (text, bytes) = (self.rest, self.rest.as_bytes());
+        let newlines = |span: &[u8]| span.iter().filter(|&&b| b == b'\n').count();
         let mut fields = Vec::new();
         let mut cur = String::new();
-        let mut chars = self.rest.char_indices();
-        let mut in_quotes = false;
+        let mut at = 0;
         let mut after_quote = false; // just closed a quote; expect , or EOL
         loop {
-            match chars.next() {
-                None => {
-                    if in_quotes {
-                        return Some(Err(CoreError::Csv {
-                            line: start_line,
-                            message: "unterminated quoted field".into(),
-                        }));
-                    }
-                    self.rest = "";
+            let run = bytes[at..]
+                .iter()
+                .position(|b| matches!(b, b',' | b'"' | b'\r' | b'\n'))
+                .map_or(bytes.len(), |n| at + n);
+            if run > at {
+                if after_quote {
+                    return CsvRecords::error(start_line, "data after closing quote");
+                }
+                cur.push_str(&text[at..run]);
+                at = run;
+            }
+            let Some(&byte) = bytes.get(at) else {
+                self.rest = "";
+                fields.push(cur);
+                return Some(Ok((start_line, fields)));
+            };
+            at += 1;
+            match byte {
+                b',' => {
                     fields.push(std::mem::take(&mut cur));
+                    after_quote = false;
+                }
+                b'\r' => {} // tolerate CRLF
+                b'\n' => {
+                    self.rest = &text[at..];
+                    fields.push(cur);
                     return Some(Ok((start_line, fields)));
                 }
-                Some((pos, ch)) => {
-                    if in_quotes {
-                        if ch == '"' {
-                            // Peek: doubled quote = literal quote.
-                            if self.rest[pos + 1..].starts_with('"') {
-                                cur.push('"');
-                                chars.next();
-                            } else {
-                                in_quotes = false;
-                                after_quote = true;
-                            }
-                        } else {
-                            if ch == '\n' {
-                                self.line += 1;
-                            }
-                            cur.push(ch);
-                        }
-                        continue;
-                    }
-                    match ch {
-                        '"' if cur.is_empty() && !after_quote => in_quotes = true,
-                        '"' => {
-                            return Some(Err(CoreError::Csv {
-                                line: start_line,
-                                message: "stray quote inside unquoted field".into(),
-                            }))
-                        }
-                        ',' => {
-                            fields.push(std::mem::take(&mut cur));
-                            after_quote = false;
-                        }
-                        '\r' => {} // tolerate CRLF
-                        '\n' => {
-                            self.rest = &self.rest[pos + 1..];
-                            fields.push(std::mem::take(&mut cur));
-                            return Some(Ok((start_line, fields)));
-                        }
-                        _ if after_quote => {
-                            return Some(Err(CoreError::Csv {
-                                line: start_line,
-                                message: "data after closing quote".into(),
-                            }))
-                        }
-                        _ => cur.push(ch),
-                    }
+                _ if !cur.is_empty() || after_quote => {
+                    return CsvRecords::error(start_line, "stray quote inside unquoted field");
                 }
+                // An opening quote: up to each next quote, which either
+                // doubles (a literal quote) or closes the field.
+                _ => loop {
+                    let Some(q) = bytes[at..].iter().position(|&b| b == b'"').map(|n| at + n)
+                    else {
+                        self.line += newlines(&bytes[at..]);
+                        return CsvRecords::error(start_line, "unterminated quoted field");
+                    };
+                    self.line += newlines(&bytes[at..q]);
+                    cur.push_str(&text[at..q]);
+                    at = q + 1;
+                    if bytes.get(at) != Some(&b'"') {
+                        after_quote = true;
+                        break;
+                    }
+                    cur.push('"');
+                    at += 1;
+                },
             }
         }
     }
 }
 
 impl CsvRecords<'_> {
+    /// A malformed record starting at `line`.
+    fn error(line: usize, message: &str) -> Option<Result<(usize, Vec<String>)>> {
+        Some(Err(CoreError::Csv { line, message: message.into() }))
+    }
+
     /// Skips past the next physical line boundary so iteration can continue
     /// after a malformed record. Always makes progress.
     fn recover(&mut self) {

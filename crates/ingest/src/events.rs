@@ -416,18 +416,21 @@ pub fn load_events(
     keyed.sort_by(key_cmp);
 
     // Dedup byte-identical replays (adjacent after the sort) and fold the
-    // content digest over what remains.
+    // content digest over what remains. Each record serializes into one
+    // reused buffer, swapped with the last kept record's; a serialized
+    // record is never empty, so the empty start matches none.
     let mut events = Vec::with_capacity(keyed.len());
     let mut digest = 0u64;
-    let mut last_canon: Option<String> = None;
+    let (mut canon, mut last_canon) = (String::new(), String::new());
     for (_, _, _, ev) in keyed {
-        let canon = ev.canon();
-        if last_canon.as_deref() == Some(canon.as_str()) {
+        canon.clear();
+        ev.serialize(&mut canon);
+        if canon == last_canon {
             report.deduped += 1;
             continue;
         }
         digest = digest.wrapping_add(record_hash(&canon));
-        last_canon = Some(canon);
+        std::mem::swap(&mut canon, &mut last_canon);
         events.push(ev);
     }
     report.accepted = events.len() as u64;
@@ -708,6 +711,43 @@ mod tests {
             matches!(err, EventStreamError::DigestMismatch { .. }),
             "expected digest mismatch, got {err}"
         );
+    }
+
+    #[test]
+    fn replays_dedup_against_the_reused_buffer_and_an_altered_replay_fails() {
+        let ds = dataset();
+        let events = events_from_dataset(&ds);
+        let csv_text = event_log_to_csv(&events);
+        let mut lines: Vec<String> = csv_text.lines().map(str::to_owned).collect();
+        let trailer = lines.pop().unwrap();
+        let header = lines.remove(0);
+        // Every record twice in a row: each second copy is a byte-identical
+        // replay of the record serialized just before it.
+        let doubled = |lines: &[String]| {
+            let mut text = format!("{header}\n");
+            for l in lines {
+                text.push_str(&format!("{l}\n{l}\n"));
+            }
+            text + &trailer + "\n"
+        };
+        let log = load_events_str(&doubled(&lines), &ds).expect("replays dedup");
+        assert_eq!(log.report.deduped, events.len() as u64);
+        assert_eq!(log.report.accepted, events.len() as u64);
+        assert_eq!(log.report.verified, Some(true), "digest over the kept records");
+
+        // One replay altered: a record the producer never hashed.
+        let at = lines.iter().position(|l| l.starts_with("C,")).unwrap();
+        let mut text = doubled(&lines);
+        let altered = lines[at].replace(",0.9,", ",0.8,");
+        assert_ne!(altered, lines[at], "fixture must contain the pattern");
+        let twice = format!("{0}\n{0}\n", lines[at]);
+        text = text.replacen(&twice, &format!("{}\n{altered}\n", lines[at]), 1);
+        match load_events_str(&text, &ds).unwrap_err() {
+            EventStreamError::DigestMismatch { expected_rows, rows, .. } => {
+                assert_eq!((expected_rows, rows), (events.len() as u64, events.len() as u64 + 1));
+            }
+            other => panic!("expected digest mismatch, got {other}"),
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub fn throughput(f: &Fused) -> Vec<WeekThroughput> {
 pub fn availability(f: &Fused) -> Vec<u64> {
     let mut active = vec![0u64; f.n_weeks];
     for agg in f.workers.values() {
-        for &week in agg.weeks.keys() {
+        for &(week, _) in &agg.weeks {
             if let Some(slot) = active.get_mut(week) {
                 *slot += 1;
             }

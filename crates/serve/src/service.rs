@@ -436,8 +436,8 @@ impl LiveService {
                 }
             }
         }
-        self.rows.extend_from(&delta, 0..delta.len());
         let view_snap = self.view.apply(&delta);
+        self.rows.append(&mut delta);
         self.events_applied += events.len() as u64;
         self.version += 1;
         let snap = Arc::new(ServiceSnapshot {

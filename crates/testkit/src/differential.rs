@@ -128,11 +128,11 @@ pub fn compare_fused(a: &Fused, b: &Fused, mode: FloatMode) -> Vec<String> {
             r.exact(&x.days, &y.days, || format!("workers[{id}].days"));
             r.exact(&x.months, &y.months, || format!("workers[{id}].months"));
             r.exact(&x.intervals, &y.intervals, || format!("workers[{id}].intervals"));
-            let ka: Vec<usize> = x.weeks.keys().copied().collect();
-            let kb: Vec<usize> = y.weeks.keys().copied().collect();
+            let ka: Vec<usize> = x.weeks.iter().map(|c| c.0).collect();
+            let kb: Vec<usize> = y.weeks.iter().map(|c| c.0).collect();
             r.exact(&ka, &kb, || format!("workers[{id}].weeks.keys"));
             if ka == kb {
-                for (wk, (ca, cb)) in x.weeks.iter().map(|(k, v)| (*k, (v, &y.weeks[k]))) {
+                for (&(wk, ca), (_, cb)) in x.weeks.iter().zip(&y.weeks) {
                     r.exact(&ca.tasks, &cb.tasks, || format!("workers[{id}].weeks[{wk}].tasks"));
                     r.float(ca.hours, cb.hours, ca.tasks, mode, || {
                         format!("workers[{id}].weeks[{wk}].hours")

@@ -19,6 +19,9 @@
 //!   MinHash implementations, the reference oracles the rewritten
 //!   hot-path kernels in `crowd-cluster` are differentially tested
 //!   against (`tests/kernel_differential.rs`);
+//! * [`csv_scan`] — a frozen copy of the original char-at-a-time CSV
+//!   record scanner, the oracle `crowd_core::csv`'s byte scanner is
+//!   differentially tested against (`tests/csv_scan_differential.rs`);
 //! * [`view`] — the live-path differential: a delta-applied
 //!   [`FusedView`](crowd_analytics::FusedView) fed through the
 //!   damaged-in-transit event-stream loader and checked against cold
@@ -36,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod csv_scan;
 pub mod differential;
 pub mod generators;
 pub mod kernels;

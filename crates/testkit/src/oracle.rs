@@ -124,17 +124,48 @@ fn chunk_ranges(ds: &Dataset) -> impl Iterator<Item = std::ops::Range<usize>> {
     (0..n).step_by(ScanPass::CHUNK).map(move |lo| lo..(lo + ScanPass::CHUNK).min(n))
 }
 
-fn empty_worker() -> WorkerAgg {
-    WorkerAgg {
-        tasks: 0,
-        work_secs: 0.0,
-        trust_sum: 0.0,
-        first_day: i64::MAX,
-        last_day: i64::MIN,
-        days: BTreeSet::new(),
-        months: BTreeSet::new(),
-        intervals: Vec::new(),
-        weeks: BTreeMap::new(),
+/// One worker's oracle state: the fields of [`WorkerAgg`], with the
+/// distinct days, months and weeks gathered in ordered sets and maps.
+struct WorkerSets {
+    tasks: u64,
+    work_secs: f64,
+    trust_sum: f64,
+    first_day: i64,
+    last_day: i64,
+    days: BTreeSet<i64>,
+    months: BTreeSet<i32>,
+    intervals: Vec<(Timestamp, Timestamp)>,
+    weeks: BTreeMap<usize, WeekCell>,
+}
+
+impl WorkerSets {
+    fn new() -> WorkerSets {
+        WorkerSets {
+            tasks: 0,
+            work_secs: 0.0,
+            trust_sum: 0.0,
+            first_day: i64::MAX,
+            last_day: i64::MIN,
+            days: BTreeSet::new(),
+            months: BTreeSet::new(),
+            intervals: Vec::new(),
+            weeks: BTreeMap::new(),
+        }
+    }
+
+    /// The sets and maps in ascending order, as [`WorkerAgg`] holds them.
+    fn into_agg(self) -> WorkerAgg {
+        WorkerAgg {
+            tasks: self.tasks,
+            work_secs: self.work_secs,
+            trust_sum: self.trust_sum,
+            first_day: self.first_day,
+            last_day: self.last_day,
+            days: self.days.into_iter().collect(),
+            months: self.months.into_iter().collect(),
+            intervals: self.intervals,
+            weeks: self.weeks.into_iter().collect(),
+        }
     }
 }
 
@@ -147,13 +178,13 @@ fn empty_worker() -> WorkerAgg {
 /// total in chunk order (see the module docs).
 pub fn worker_aggregates(ds: &Dataset) -> BTreeMap<u32, WorkerAgg> {
     let (w0, n_weeks) = week_span(ds);
-    let mut out: BTreeMap<u32, WorkerAgg> = BTreeMap::new();
+    let mut out: BTreeMap<u32, WorkerSets> = BTreeMap::new();
     for chunk in chunk_ranges(ds) {
-        let mut part: BTreeMap<u32, WorkerAgg> = BTreeMap::new();
+        let mut part: BTreeMap<u32, WorkerSets> = BTreeMap::new();
         for i in chunk {
             let row = ds.instances.row(i);
             let day = row.start.day_number();
-            let w = part.entry(row.worker.raw()).or_insert_with(empty_worker);
+            let w = part.entry(row.worker.raw()).or_insert_with(WorkerSets::new);
             w.tasks += 1;
             w.work_secs += row.work_time().as_secs() as f64;
             w.trust_sum += f64::from(row.trust);
@@ -170,7 +201,7 @@ pub fn worker_aggregates(ds: &Dataset) -> BTreeMap<u32, WorkerAgg> {
             }
         }
         for (id, p) in part {
-            let w = out.entry(id).or_insert_with(empty_worker);
+            let w = out.entry(id).or_insert_with(WorkerSets::new);
             w.tasks += p.tasks;
             w.work_secs += p.work_secs;
             w.trust_sum += p.trust_sum;
@@ -186,7 +217,7 @@ pub fn worker_aggregates(ds: &Dataset) -> BTreeMap<u32, WorkerAgg> {
             }
         }
     }
-    out
+    out.into_iter().map(|(id, w)| (id, w.into_agg())).collect()
 }
 
 /// Per-source aggregates: task counts and trust sums (chunked like
@@ -282,9 +313,9 @@ pub fn oracle_fused(ds: &Dataset) -> Fused {
         completed,
         median_pickup,
         weekday: weekday_load(ds),
-        per_day: daily_load(ds),
+        per_day: daily_load(ds).into_iter().collect(),
         instance_latency: latency_splices(ds),
-        per_item: redundancy_counts(ds),
+        per_item: redundancy_counts(ds).into_iter().collect(),
     }
 }
 

@@ -5,14 +5,15 @@
 //! bit-identical. Torn checkpoint files must be stepped over with typed
 //! faults, and a directory with nothing restorable must give a fresh
 //! service that lists every file it stepped over — never a panic or a
-//! silently partial state.
+//! silently partial state. A service logging to a WAL syncs it once per
+//! `fsync_every` appends, not once per applied batch.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crowd_core::csv::export_dir;
-use crowd_ingest::load_events_str;
+use crowd_ingest::{load_events_str, WalOptions};
 use crowd_serve::{CheckpointStore, EventFeed, LiveService};
 use crowd_sim::SimConfig;
 
@@ -158,4 +159,25 @@ fn torn_checkpoints_fall_back_with_typed_faults() {
     assert_eq!(restored.events_applied(), 0, "nothing restorable: a fresh start");
     assert_eq!(report.checkpoint_faults.len(), files.len());
     fs::remove_dir_all(&ckpt_dir).ok();
+}
+
+#[test]
+fn wal_syncs_once_per_fsync_every_appends_through_the_service() {
+    let feed = EventFeed::from_config(&SimConfig::tiny(83));
+    let log = load_events_str(&feed.to_csv(), &feed.entities).expect("clean feed");
+    let dir = tmp("fsync-every");
+    let _ = fs::remove_dir_all(&dir);
+    const EVERY: u64 = 4;
+    // Segments larger than the whole stream: no rotation forces a sync.
+    let opts = WalOptions { fsync_every: EVERY, segment_bytes: 1 << 40 };
+    let mut svc =
+        LiveService::new(Arc::clone(&feed.entities)).with_wal(&dir, 83, opts).expect("wal open");
+    for chunk in log.events.chunks(500) {
+        svc.apply_events(chunk).expect("apply");
+    }
+    let stats = svc.wal_stats().expect("wal attached");
+    assert_eq!(stats.rotations, 1, "one segment, opened once");
+    assert!(stats.appends > 2 * EVERY, "{} appends", stats.appends);
+    assert_eq!(stats.fsyncs, stats.appends / EVERY, "one fsync per {EVERY} appends");
+    fs::remove_dir_all(&dir).ok();
 }
